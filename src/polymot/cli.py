@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
+
 from . import io as pio
 from .errors import InvalidInputError, ParseError, PolymotError
 from .geometry import centroid, polygonize
@@ -113,8 +115,9 @@ def _cmd_evaluate(args) -> int:
     all_frames = set(gt_frames) | set(hyp_frames)
     if all_frames:
         lo, hi = min(all_frames), max(all_frames)
-        gt_seq = [gt_frames.get(f, {}) for f in range(lo, hi + 1)]
-        hyp_seq = [hyp_frames.get(f, {}) for f in range(lo, hi + 1)]
+        empty = (np.zeros(gt_dims if gt_frames else hyp_dims, dtype=np.int32), [])
+        gt_seq = [gt_frames.get(f, empty) for f in range(lo, hi + 1)]
+        hyp_seq = [hyp_frames.get(f, empty) for f in range(lo, hi + 1)]
     else:
         gt_seq, hyp_seq = [], []
     report = evaluate(gt_seq, hyp_seq)
@@ -151,17 +154,18 @@ def _cmd_render(args) -> int:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
              f'viewBox="0 0 {w} {h}">',
              f'<rect width="{w}" height="{h}" fill="#202020"/>']
-    prev = frames.get(args.frame - 1, {})
-    for tid in sorted(frames[args.frame]):
-        mask = frames[args.frame][tid]
-        poly = polygonize(mask, 32)
+    label, ids = frames[args.frame]
+    prev_label, prev_ids = frames.get(args.frame - 1, (None, []))
+    for k, tid in enumerate(ids, start=1):
+        poly = polygonize(label == k, 32)
         color = _SVG_COLORS[tid % len(_SVG_COLORS)]
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in poly.vertices)
         parts.append(f'<polygon points="{points}" fill="{color}" '
                      f'fill-opacity="0.45" stroke="{color}"/>')
         cx, cy = centroid(poly)
-        if tid in prev:
-            px, py = centroid(polygonize(prev[tid], 32))
+        if tid in prev_ids:
+            prev_mask = prev_label == prev_ids.index(tid) + 1
+            px, py = centroid(polygonize(prev_mask, 32))
             parts.append(f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{cx:.2f}" '
                          f'y2="{cy:.2f}" stroke="{color}" stroke-width="1.5"/>')
             parts.append(_arrow_head(px, py, cx, cy, color))

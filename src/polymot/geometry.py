@@ -81,19 +81,17 @@ def polygon_areas(rings: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(x * yn - xn * y, axis=-1)) / 2.0
 
 
-def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
     """Scanline fill with the even-odd rule, sampled at pixel centers.
 
-    A pixel (i, j) is set iff the number of edge crossings strictly to the
-    right of its center (i + 0.5, j + 0.5) along the +x ray is odd.  Pixels
-    outside [0, width) x [0, height) are clipped.
+    Sets target[j, i] = value iff the number of edge crossings strictly to
+    the right of pixel center (i + 0.5, j + 0.5) along the +x ray is odd.
+    Pixels outside the (height, width) target are clipped.
     """
-    if width < 1 or height < 1:
-        raise InvalidInputError("rasterize target must be at least 1x1")
-    mask = np.zeros((height, width), dtype=bool)
+    height, width = target.shape
     v = p.vertices
     if len(p) < 3:
-        return mask
+        return
     x1, y1 = v[:, 0], v[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
 
@@ -111,7 +109,15 @@ def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
             i_lo = max(0, int(math.ceil(xs[k] - 0.5)))
             i_hi = min(width, int(math.ceil(xs[k + 1] - 0.5)))
             if i_hi > i_lo:
-                mask[j, i_lo:i_hi] = True
+                target[j, i_lo:i_hi] = value
+
+
+def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+    """Boolean (height, width) mask of the :func:`fill_polygon` fill."""
+    if width < 1 or height < 1:
+        raise InvalidInputError("rasterize target must be at least 1x1")
+    mask = np.zeros((height, width), dtype=bool)
+    fill_polygon(mask, p, True)
     return mask
 
 

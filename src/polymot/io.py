@@ -3,15 +3,19 @@ INI-style run configuration, and metric reports.
 
 Detection files carry one record per line, space separated:
 
-    frame class_id score cx cy depth off_x off_y x0 y0 ... x31 y31
+    frame class_id score cx cy depth off_x off_y x0 y0 ... x{V-1} y{V-1}
 
-(72 numeric fields; '#' starts a comment).  Result files use the MOTS
-submission layout:
+(8 + 2V numeric fields; the vertex count V >= 3 is inferred per file and
+must not change between lines; '#' starts a comment).  Result files use
+the MOTS submission layout, one line per instance:
 
     frame track_id class_id img_height img_width rle
 
-with the compressed run-length string from :mod:`polymot.rle`.  All writes
-go through a temp file and an atomic rename.
+with the compressed run-length string from :mod:`polymot.rle`.  A frame
+is held as one label image (see :mod:`polymot.metrics`) when written and
+when read; a record claiming a pixel that an earlier record of its frame
+holds is a ParseError naming the line.  All writes go through a temp file
+and an atomic rename.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon
-from .metrics import MetricsReport, flatten_frame
-from .rle import decode_rle, encode_rle
+from .geometry import Point2, Polygon
+from .metrics import Frame, MetricsReport, flatten_frame
+from .rle import decode_rle_into, encode_labels
 from .simulator import NoiseParams
 from .tracker import Detection, Track, TrackerConfig, emitted_instances
 from .ukf import UkfParams
-
-DETECTION_FIELDS = 8 + 2 * DEFAULT_VERTEX_COUNT
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -58,15 +60,21 @@ def parse_detections(path: str) -> dict[int, list[Detection]]:
     """Strict parse of a detection file into per-frame lists (keyed by frame)."""
     frames: dict[int, list[Detection]] = {}
     last_frame: Optional[int] = None
+    vertex_count: Optional[int] = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = _strip_comment(raw).split()
             if not parts:
                 continue
-            if len(parts) != DETECTION_FIELDS:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {DETECTION_FIELDS} fields, "
-                    f"got {len(parts)}")
+            n_vertices, odd = divmod(len(parts) - 8, 2)
+            if odd or n_vertices < 3:
+                raise ParseError(f"{path}:{lineno}: expected 8 + 2V fields with "
+                                 f"V >= 3 vertices, got {len(parts)}")
+            if vertex_count is None:
+                vertex_count = n_vertices
+            elif n_vertices != vertex_count:
+                raise ParseError(f"{path}:{lineno}: {n_vertices} vertices, "
+                                 f"earlier lines have {vertex_count}")
             try:
                 frame = int(parts[0])
                 class_id = int(parts[1])
@@ -107,16 +115,15 @@ InstanceRecord = tuple[int, int, "Polygon", float]
 
 def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
                            width: int, height: int, path: str) -> None:
-    """Flatten each frame's instances to disjoint masks and write RLE lines."""
+    """Flatten each frame's instances to a label image and write RLE lines."""
     lines = []
     for frame in sorted(per_frame):
         records = per_frame[frame]
         classes = {iid: cls for iid, cls, _, _ in records}
-        masks = flatten_frame([(iid, poly, depth) for iid, _, poly, depth in records],
-                              width, height)
-        for iid in sorted(masks):
-            lines.append(f"{frame} {iid} {classes[iid]} {height} {width} "
-                         f"{encode_rle(masks[iid])}")
+        label, ids = flatten_frame(
+            [(iid, poly, depth) for iid, _, poly, depth in records], width, height)
+        for iid, rle in zip(ids, encode_labels(label, len(ids))):
+            lines.append(f"{frame} {iid} {classes[iid]} {height} {width} {rle}")
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -126,10 +133,10 @@ def write_results(tracks: Sequence[Track], width: int, height: int,
     write_instance_records(emitted_instances(tracks), width, height, path)
 
 
-def parse_mask_records(path: str) -> tuple[dict[int, dict[int, np.ndarray]],
-                                           dict[int, int], tuple[int, int]]:
-    """Read result-format lines: per-frame id->mask dicts, id->class, (h, w)."""
-    frames: dict[int, dict[int, np.ndarray]] = {}
+def parse_mask_records(path: str) -> tuple[dict[int, Frame], dict[int, int],
+                                           tuple[int, int]]:
+    """Read result-format lines: per-frame label images, id->class, (h, w)."""
+    buffers: dict[int, tuple[np.ndarray, list[int]]] = {}
     classes: dict[int, int] = {}
     dims: Optional[tuple[int, int]] = None
     with open(path) as fh:
@@ -141,21 +148,37 @@ def parse_mask_records(path: str) -> tuple[dict[int, dict[int, np.ndarray]],
                 raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
             try:
                 frame, tid, cls, h, w = (int(x) for x in parts[:5])
-                mask = decode_rle(parts[5], h, w)
-            except (ValueError, ParseError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if dims is None:
+                if h < 1 or w < 1:
+                    raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} not positive")
                 dims = (h, w)
             elif dims != (h, w):
                 raise ParseError(
                     f"{path}:{lineno}: dimensions {h}x{w} differ from {dims[0]}x{dims[1]}")
-            if tid in frames.setdefault(frame, {}):
+            if frame not in buffers:
+                buffers[frame] = (np.zeros(h * w, dtype=np.int32), [])
+            flat, ids = buffers[frame]
+            if tid in ids:
                 raise ParseError(f"{path}:{lineno}: duplicate id {tid} in frame {frame}")
-            frames[frame][tid] = mask
+            ids.append(tid)
+            try:
+                decode_rle_into(parts[5], flat, len(ids))
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             classes[tid] = cls
-    if dims is None:
-        dims = (0, 0)
-    return frames, classes, dims
+    frames = {frame: _sorted_frame(flat.reshape(dims, order="F"), ids)
+              for frame, (flat, ids) in buffers.items()}
+    return frames, classes, dims or (0, 0)
+
+
+def _sorted_frame(label: np.ndarray, ids: list[int]) -> Frame:
+    """Renumber labels so that ids ascend (records may come in any order)."""
+    if ids == sorted(ids):
+        return label, ids
+    ranks = np.argsort(np.argsort(ids)) + 1  # ids are unique within a frame
+    return np.concatenate(([0], ranks)).astype(np.int32)[label], sorted(ids)
 
 
 def read_pgm(path: str) -> np.ndarray:

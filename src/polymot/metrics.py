@@ -1,27 +1,33 @@
 """Mask-based tracking-and-segmentation evaluation.
 
-Instances are rasterized farthest-first (larger depth value = farther), so
-nearer masks overwrite and every frame becomes a set of pixel-disjoint
-label masks.  Matching requires IoU > 0.5, which with disjoint masks on
-both sides admits at most one candidate per mask; identity switches follow
-the CLEAR convention (a ground-truth track's matched hypothesis id differs
-from its most recent previously matched id).
+A frame is one label image ``(label, ids)``: ``label`` is an int32 array of
+shape (height, width) where 0 is background and label k >= 1 stands for
+instance ``ids[k - 1]``; ``ids`` ascend.  Instances are painted
+farthest-first (larger depth value = farther), so nearer ones overwrite
+and the masks are pixel-disjoint by construction; a result file whose
+records overlap is rejected when it is decoded.  Matching requires
+IoU > 0.5, which with disjoint masks on both sides admits at most one
+candidate per mask; identity switches follow the CLEAR convention (a
+ground-truth track's matched hypothesis id differs from its most recent
+previously matched id).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Polygon, rasterize
+from .geometry import Polygon, fill_polygon
 
 IOU_THRESHOLD = 0.5
 
 # (instance id, polygon, depth); depth orders overlaps, smaller = nearer
 InstanceTriple = tuple[int, Polygon, float]
+# (label image, ascending instance ids); label k >= 1 stands for ids[k - 1]
+Frame = tuple[np.ndarray, list[int]]
 
 
 @dataclass(frozen=True)
@@ -64,74 +70,66 @@ class MetricsReport:
 
 
 def flatten_frame(instances: Iterable[InstanceTriple],
-                  width: int, height: int) -> dict[int, np.ndarray]:
-    """Disjoint visible masks for one frame's instances.
+                  width: int, height: int) -> Frame:
+    """Depth-ordered label image of one frame's instances.
 
-    Rasterizes in depth order so nearer instances overwrite farther ones;
+    Paints farthest first so nearer instances overwrite farther ones;
     instances left with no visible pixels are omitted.
     """
     items = list(instances)
     for iid, _, depth in items:
         if depth is None or not np.isfinite(depth):
             raise InvalidInputError(f"instance {iid} lacks a finite depth")
+    if width < 1 or height < 1:
+        raise InvalidInputError("frame must be at least 1x1")
+    ids = sorted({iid for iid, _, _ in items})
+    rank = {iid: k for k, iid in enumerate(ids, start=1)}
+    label = np.zeros((height, width), dtype=np.int32)
     # farthest first; ties broken by id for determinism
-    items.sort(key=lambda it: (-it[2], it[0]))
-    label = np.zeros((height, width), dtype=np.int64)
-    for iid, poly, _ in items:
-        label[rasterize(poly, width, height)] = iid
-    out: dict[int, np.ndarray] = {}
-    for iid, _, _ in items:
-        m = label == iid
-        if m.any():
-            out[iid] = m
-    return out
+    for iid, poly, _ in sorted(items, key=lambda it: (-it[2], it[0])):
+        fill_polygon(label, poly, rank[iid])
+    visible = np.bincount(label.ravel(), minlength=len(ids) + 1)[1:] > 0
+    if not visible.all():
+        relabel = np.zeros(len(ids) + 1, dtype=np.int32)
+        relabel[1:][visible] = np.arange(1, np.count_nonzero(visible) + 1)
+        label = relabel[label]
+        ids = [iid for iid, seen in zip(ids, visible) if seen]
+    return label, ids
 
 
 def flatten(frames: Sequence[Iterable[InstanceTriple]],
-            width: int, height: int) -> list[dict[int, np.ndarray]]:
+            width: int, height: int) -> list[Frame]:
     return [flatten_frame(f, width, height) for f in frames]
 
 
-def _check_disjoint(masks: Mapping[int, np.ndarray], side: str) -> None:
-    total = None
-    for m in masks.values():
-        total = m.astype(np.int32) if total is None else total + m
-    if total is not None and (total > 1).any():
-        raise InvalidInputError(f"{side} masks overlap within one frame")
+def match_frame(gt: Frame, hyp: Frame) -> FrameMatch:
+    """IoU > 0.5 matching of one frame from its joint label histogram.
+
+    Pairs are ordered by descending IoU, ties by lower ids.
+    """
+    (g_label, g_ids), (h_label, h_ids) = gt, hyp
+    if g_label.shape != h_label.shape:
+        raise InvalidInputError(
+            f"frame shape mismatch: {g_label.shape} gt vs {h_label.shape} hyp")
+    n_g, n_h = len(g_ids), len(h_ids)
+    joint = np.bincount((g_label * (n_h + 1) + h_label).ravel(order="K"),
+                        minlength=(n_g + 1) * (n_h + 1)).reshape(n_g + 1, n_h + 1)
+    inter = joint[1:, 1:]
+    union = joint[1:, :].sum(axis=1)[:, None] + joint[:, 1:].sum(axis=0) - inter
+    iou = inter / np.maximum(union, 1)
+    pairs = sorted(((g_ids[g], h_ids[h], float(iou[g, h]))
+                    for g, h in zip(*np.nonzero(iou > IOU_THRESHOLD))),
+                   key=lambda p: (-p[2], p[0], p[1]))
+    matched_g = {g for g, _, _ in pairs}
+    matched_h = {h for _, h, _ in pairs}
+    return FrameMatch(pairs=pairs,
+                      fp_ids=[h for h in h_ids if h not in matched_h],
+                      fn_ids=[g for g in g_ids if g not in matched_g])
 
 
-def match_frame(gt: Mapping[int, np.ndarray],
-                hyp: Mapping[int, np.ndarray]) -> FrameMatch:
-    """Greedy IoU matching of one frame (descending IoU, ties by lower ids)."""
-    _check_disjoint(gt, "ground-truth")
-    _check_disjoint(hyp, "hypothesis")
-    candidates = []
-    for gid, gm in gt.items():
-        g_area = np.count_nonzero(gm)
-        for hid, hm in hyp.items():
-            inter = np.count_nonzero(gm & hm)
-            if inter == 0:
-                continue
-            iou = inter / (g_area + np.count_nonzero(hm) - inter)
-            if iou > IOU_THRESHOLD:
-                candidates.append((iou, gid, hid))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    pairs = []
-    used_g, used_h = set(), set()
-    for iou, gid, hid in candidates:
-        if gid in used_g or hid in used_h:
-            continue
-        used_g.add(gid)
-        used_h.add(hid)
-        pairs.append((gid, hid, float(iou)))
-    fp_ids = sorted(h for h in hyp if h not in used_h)
-    fn_ids = sorted(g for g in gt if g not in used_g)
-    return FrameMatch(pairs=pairs, fp_ids=fp_ids, fn_ids=fn_ids)
-
-
-def evaluate(gt_frames: Sequence[Mapping[int, np.ndarray]],
-             hyp_frames: Sequence[Mapping[int, np.ndarray]]) -> MetricsReport:
-    """Aggregate frame matches over an aligned pair of mask sequences."""
+def evaluate(gt_frames: Sequence[Frame],
+             hyp_frames: Sequence[Frame]) -> MetricsReport:
+    """Aggregate frame matches over an aligned pair of frame sequences."""
     if len(gt_frames) != len(hyp_frames):
         raise InvalidInputError(
             f"frame count mismatch: {len(gt_frames)} gt vs {len(hyp_frames)} hyp")
@@ -155,6 +153,6 @@ def evaluate(gt_frames: Sequence[Mapping[int, np.ndarray]],
 def evaluate_polygons(gt_frames: Sequence[Iterable[InstanceTriple]],
                       hyp_frames: Sequence[Iterable[InstanceTriple]],
                       width: int, height: int) -> MetricsReport:
-    """Flatten both polygon sequences to masks, then evaluate."""
+    """Flatten both polygon sequences to label images, then evaluate."""
     return evaluate(flatten(gt_frames, width, height),
                     flatten(hyp_frames, width, height))

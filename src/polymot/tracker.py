@@ -46,6 +46,10 @@ class Detection:
     def __post_init__(self):
         if not (0.0 <= self.score <= 1.0):
             raise InvalidInputError(f"score {self.score} outside [0, 1]")
+        if not all(map(math.isfinite, (*self.center, self.depth, *self.offset))):
+            raise InvalidInputError(
+                f"center {tuple(self.center)}, depth {self.depth} and offset "
+                f"{tuple(self.offset)} must be finite")
         c = self.polygon.vertices.mean(axis=0)
         x0, y0, x1, y1 = self.polygon.bbox()
         tol = max(CENTER_TOLERANCE_PX,

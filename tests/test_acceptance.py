@@ -20,6 +20,7 @@ from polymot.tracker import (Detection, Tracker, TrackerConfig, run_sequence,
                              emitted_instances)
 
 from oracles import LinearKalman, central_difference, count_tracking_events
+from test_metrics import label_frame
 from test_rle import CANONICAL, canonical_mask
 
 
@@ -225,7 +226,8 @@ def test_metrics_match_brute_force_counter():
                         side[iid] = m
             gt_frames.append(gt)
             hyp_frames.append(hyp)
-        report = metrics.evaluate(gt_frames, hyp_frames)
+        report = metrics.evaluate([label_frame(f) for f in gt_frames],
+                                  [label_frame(f) for f in hyp_frames])
         expected = count_tracking_events(gt_frames, hyp_frames)
         assert (report.tp, report.fp, report.fn, report.idsw) == (
             expected["tp"], expected["fp"], expected["fn"], expected["idsw"])

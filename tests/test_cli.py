@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -94,6 +95,47 @@ def test_pipeline_deterministic_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+RANDOM_WALK_CFG = """\
+[scenario]
+kind = random_walk
+n_objects = 8
+n_frames = 40
+width = 160
+height = 120
+seed = 3
+"""
+
+# sha256 of each output of simulate -> track -> evaluate -> render on
+# RANDOM_WALK_CFG (default noise: overlaps, false positives and identity
+# switches all occur).  A change to any of them is a change of behaviour.
+PIPELINE_SHA256 = {
+    "gt.txt": "86f9d2d6b474c55f9c719de778d4434dd0de7feb9c4efc02feb7a8d458d2f910",
+    "results.txt": "0c4629c7c676fc55f01d883763d014cc13d11b591050eb90d65244c6199423e3",
+    "report.txt.kv": "7a596e1d952e3bb3e8f60a0ca9a9dd7e2e3375fe1fdaca46f78abed86cc4ad90",
+    "frame.svg": "692effc381e25667cf8285118c21af5fd5880e3f3ceb4c84a6283083157025cc",
+}
+
+
+def test_pipeline_outputs_byte_identical(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RANDOM_WALK_CFG)
+    out = {name: str(tmp_path / name) for name in
+           ("dets.txt", "gt.txt", "results.txt", "report.txt", "frame.svg")}
+    assert main(["simulate", "--scenario", str(cfg), "--out", out["dets.txt"],
+                 "--gt", out["gt.txt"]]) == 0
+    assert main(["track", "--dets", out["dets.txt"], "--config", str(cfg),
+                 "--out", out["results.txt"]]) == 0
+    assert main(["evaluate", "--gt", out["gt.txt"], "--results", out["results.txt"],
+                 "--report", out["report.txt"]]) == 0
+    assert main(["render", "--results", out["results.txt"], "--frame", "20",
+                 "--out", out["frame.svg"]]) == 0
+    kv = pio.parse_report_kv(out["report.txt"] + ".kv")
+    assert kv["fp"] > 0 and kv["idsw"] > 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PIPELINE_SHA256}
+    assert digests == PIPELINE_SHA256
+
+
 def test_results_reparse_self_consistent(tmp_path):
     run_pipeline(tmp_path, SCENARIO_CFG)
     frames, classes, dims = pio.parse_mask_records(str(tmp_path / "results_ukf.txt"))
@@ -109,7 +151,8 @@ def test_render_svg_structure(tmp_path):
     ns = "{http://www.w3.org/2000/svg}"
     polygons = tree.getroot().findall(f"{ns}polygon")
     frames, _, _ = pio.parse_mask_records(str(tmp_path / "results_ukf.txt"))
-    assert len(polygons) == len(frames[5])
+    _, ids = frames[5]
+    assert len(polygons) == len(ids)
     texts = tree.getroot().findall(f"{ns}text")
     assert len(texts) == len(polygons)
 

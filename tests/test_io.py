@@ -1,13 +1,20 @@
 import os
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymot import io as pio
 from polymot.errors import InvalidInputError, ParseError
-from polymot.metrics import MetricsReport
+from polymot.geometry import Point2, Polygon
+from polymot.metrics import MetricsReport, flatten_frame
+from polymot.rle import encode_rle
 from polymot.simulator import IDENTITY_NOISE, build_scenario, generate, perturb
-from polymot.tracker import TrackerConfig, run_sequence
+from polymot.tracker import (Detection, TrackerConfig, emitted_instances,
+                             run_sequence)
 
 
 def sample_detections(n_frames=6):
@@ -58,6 +65,72 @@ class TestDetectionFiles:
         with pytest.raises(ParseError):
             pio.parse_detections(str(path))
 
+    @pytest.mark.parametrize("field,column", [("center", 3), ("depth", 5),
+                                              ("offset", 6)])
+    def test_non_finite_field_rejected(self, tmp_path, field, column):
+        d = sample_detections()[0][0]
+        nan_value = {"center": Point2(float("nan"), d.center.y),
+                     "depth": float("nan"),
+                     "offset": (float("nan"), d.offset[1])}[field]
+        with pytest.raises(InvalidInputError, match="finite"):
+            replace(d, **{field: nan_value})
+        path = tmp_path / "dets.txt"
+        pio.write_detections(sample_detections(), str(path))
+        lines = path.read_text().splitlines()
+        parts = lines[3].split()
+        parts[column] = "nan"
+        lines[3] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r":4: .*finite"):
+            pio.parse_detections(str(path))
+
+    def test_vertex_count_inferred_and_fixed_per_file(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        pio.write_detections(sample_detections(), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = " ".join(lines[2].split()[:-2])  # one vertex short
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r":3: 31 vertices, earlier lines have 32"):
+            pio.parse_detections(str(path))
+        path.write_text("0 0 0.9 1 1 1 0 0 0 0 2 0 1 2 7\n")  # odd field count
+        with pytest.raises(ParseError, match=r":1: expected 8 \+ 2V"):
+            pio.parse_detections(str(path))
+        path.write_text("0 0 0.9 1 1 1 0 0 0 0 2 2\n")  # two vertices
+        with pytest.raises(ParseError, match=r":1: expected 8 \+ 2V"):
+            pio.parse_detections(str(path))
+
+    @given(n_vertices=st.sampled_from([3, 16, 32]),
+           data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_any_vertex_count(self, tmp_path_factory, n_vertices, data):
+        coord = st.floats(0, 500, allow_nan=False)
+        frames = []
+        for frame in range(data.draw(st.integers(1, 3))):
+            dets = []
+            for _ in range(data.draw(st.integers(0, 3))):
+                ring = np.array(data.draw(st.lists(
+                    st.tuples(coord, coord), min_size=n_vertices,
+                    max_size=n_vertices)), dtype=float)
+                c = ring.mean(axis=0)
+                dets.append(Detection(
+                    frame=frame, class_id=data.draw(st.integers(0, 5)),
+                    score=data.draw(st.floats(0, 1)), center=Point2(*c),
+                    polygon=Polygon(ring), depth=data.draw(coord),
+                    offset=(data.draw(st.floats(-9, 9)), data.draw(st.floats(-9, 9)))))
+            frames.append(dets)
+        path = str(tmp_path_factory.mktemp("dets") / "dets.txt")
+        pio.write_detections(frames, path)
+        parsed = pio.parse_detections(path)
+        assert sorted(parsed) == [f for f, dets in enumerate(frames) if dets]
+        for f, dets in parsed.items():
+            for a, b in zip(frames[f], dets, strict=True):
+                assert (b.frame, b.class_id) == (a.frame, a.class_id)
+                assert len(b.polygon) == n_vertices
+                got = [b.score, *b.center, b.depth, *b.offset]
+                want = [a.score, *a.center, a.depth, *a.offset]
+                assert np.allclose(got, want, rtol=0, atol=1e-4)
+                assert np.abs(b.polygon.vertices - a.polygon.vertices).max() <= 1e-4
+
     def test_comments_stripped(self, tmp_path):
         dets = sample_detections()
         path = tmp_path / "dets.txt"
@@ -76,11 +149,49 @@ class TestResultFiles:
         frames, classes, dims = pio.parse_mask_records(path)
         assert dims == (160, 256)
         assert frames and classes
-        for masks in frames.values():
-            total = np.zeros((160, 256), np.int64)
-            for m in masks.values():
-                total += m
-            assert total.max() <= 1  # emitted masks stay disjoint
+        emitted = emitted_instances(tracks)
+        assert sorted(frames) == sorted(emitted)
+        for f, (label, ids) in frames.items():
+            # the file holds exactly the depth-ordered label image it was written from
+            want_label, want_ids = flatten_frame(
+                [(tid, poly, depth) for tid, _, poly, depth in emitted[f]], 256, 160)
+            assert ids == want_ids
+            assert (label == want_label).all()
+
+    def test_track_id_zero_round_trips(self, tmp_path):
+        square = Polygon(np.array([[2, 2], [6, 2], [6, 6], [2, 6]], float))
+        other = Polygon(np.array([[4, 4], [12, 4], [12, 12], [4, 12]], float))
+        path = str(tmp_path / "r.txt")
+        pio.write_instance_records({0: [(0, 1, square, 1.0), (5, 2, other, 2.0)]},
+                                   16, 16, path)
+        frames, classes, _ = pio.parse_mask_records(path)
+        label, ids = frames[0]
+        assert ids == [0, 5] and classes == {0: 1, 5: 2}
+        assert np.count_nonzero(label == 1) == 16
+        assert np.count_nonzero(label == 2) == 64 - 4  # the nearer square hides 4
+
+    def test_overlapping_records_name_the_line(self, tmp_path):
+        a = np.zeros((8, 8), bool)
+        a[1:5, 1:5] = True
+        b = np.zeros((8, 8), bool)
+        b[4:7, 4:7] = True  # shares pixel (4, 4) with a
+        path = tmp_path / "r.txt"
+        path.write_text(f"# header\n3 1 0 8 8 {encode_rle(a)}\n"
+                        f"3 2 0 8 8 {encode_rle(b)}\n")
+        with pytest.raises(ParseError, match=r"r\.txt:3: .*overlaps"):
+            pio.parse_mask_records(str(path))
+
+    def test_records_in_any_id_order(self, tmp_path):
+        a = np.zeros((8, 8), bool)
+        a[1:3, 1:3] = True
+        b = np.zeros((8, 8), bool)
+        b[5:8, 0:2] = True
+        path = tmp_path / "r.txt"
+        path.write_text(f"0 9 0 8 8 {encode_rle(b)}\n0 4 0 8 8 {encode_rle(a)}\n")
+        frames, _, _ = pio.parse_mask_records(str(path))
+        label, ids = frames[0]
+        assert ids == [4, 9]
+        assert ((label == 1) == a).all() and ((label == 2) == b).all()
 
     def test_duplicate_id_in_frame_rejected(self, tmp_path):
         path = tmp_path / "r.txt"

@@ -17,23 +17,40 @@ def rect_mask(x0, y0, x1, y1, w=32, h=32):
     return rasterize(rect(x0, y0, x1, y1), w, h)
 
 
+def label_frame(masks, shape=(32, 32)):
+    """Compose an id -> disjoint mask dict into a (label image, ids) frame."""
+    ids = sorted(masks)
+    label = np.zeros(shape, np.int32)
+    for k, iid in enumerate(ids, start=1):
+        label[masks[iid]] = k
+    return label, ids
+
+
+def instance_masks(frame):
+    """The id -> mask dict of a (label image, ids) frame."""
+    label, ids = frame
+    return {iid: label == k for k, iid in enumerate(ids, start=1)}
+
+
 class TestFlatten:
     def test_disjoint_polygons_both_present(self):
-        masks = flatten_frame([(1, rect(2, 2, 8, 8), 5.0),
-                               (2, rect(12, 12, 20, 20), 3.0)], 32, 32)
+        masks = instance_masks(flatten_frame([(1, rect(2, 2, 8, 8), 5.0),
+                                              (2, rect(12, 12, 20, 20), 3.0)],
+                                             32, 32))
         assert set(masks) == {1, 2}
         assert masks[1].sum() == 36 and masks[2].sum() == 64
 
     def test_full_overlap_near_hides_far(self):
-        masks = flatten_frame([(1, rect(4, 4, 12, 12), 1.0),   # nearer
-                               (2, rect(4, 4, 12, 12), 9.0)],  # farther
-                              32, 32)
-        assert set(masks) == {1}  # the hidden instance has no visible pixels
+        label, ids = flatten_frame([(1, rect(4, 4, 12, 12), 1.0),   # nearer
+                                    (2, rect(4, 4, 12, 12), 9.0)],  # farther
+                                   32, 32)
+        assert ids == [1]  # the hidden instance has no visible pixels
+        assert set(np.unique(label)) == {0, 1}
 
     def test_partial_overlap_subtracts_near_from_far(self):
         near = (1, rect(8, 4, 16, 12), 1.0)
         far = (2, rect(4, 4, 12, 12), 9.0)
-        masks = flatten_frame([near, far], 32, 32)
+        masks = instance_masks(flatten_frame([near, far], 32, 32))
         a = rect_mask(8, 4, 16, 12)
         b = rect_mask(4, 4, 12, 12)
         assert (masks[1] == a).all()
@@ -45,11 +62,27 @@ class TestFlatten:
         for i in range(6):
             x, y = rng.uniform(2, 20, 2)
             tris.append((i + 1, rect(x, y, x + 8, y + 8), float(rng.uniform(0, 9))))
-        masks = flatten_frame(tris, 32, 32)
-        total = np.zeros((32, 32), int)
-        for m in masks.values():
-            total += m
-        assert total.max() <= 1
+        label, ids = flatten_frame(tris, 32, 32)
+        assert ids == sorted(ids)
+        # every label is an id with visible pixels, and none is left over
+        assert set(np.unique(label)) == set(range(len(ids) + 1))
+        # the same frame painted mask by mask, farthest first
+        expected = np.zeros((32, 32), int)
+        for iid, poly, _ in sorted(tris, key=lambda t: -t[2]):
+            expected[rasterize(poly, 32, 32)] = iid
+        assert (np.array([0, *ids])[label] == expected).all()
+
+    def test_id_zero_does_not_flood_the_frame(self):
+        label, ids = flatten_frame([(0, rect(0, 0, 4, 4), 1.0)], 16, 16)
+        assert ids == [0]
+        assert np.count_nonzero(label == 1) == 16
+        assert np.count_nonzero(label) == 16
+
+    def test_negative_ids_ascend(self):
+        label, ids = flatten_frame([(3, rect(0, 0, 4, 4), 1.0),
+                                    (-2, rect(8, 8, 12, 12), 1.0)], 16, 16)
+        assert ids == [-2, 3]
+        assert np.count_nonzero(label == 1) == np.count_nonzero(label == 2) == 16
 
     def test_missing_depth_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -58,45 +91,50 @@ class TestFlatten:
 
 class TestMatchFrame:
     def test_identical_sets(self):
-        gt = {1: rect_mask(2, 2, 10, 10), 2: rect_mask(14, 14, 22, 22)}
-        fm = match_frame(gt, dict(gt))
+        gt = label_frame({1: rect_mask(2, 2, 10, 10), 2: rect_mask(14, 14, 22, 22)})
+        fm = match_frame(gt, gt)
         assert sorted((g, h) for g, h, _ in fm.pairs) == [(1, 1), (2, 2)]
         assert all(iou == 1.0 for _, _, iou in fm.pairs)
         assert fm.fp_ids == [] and fm.fn_ids == []
 
     def test_shift_to_exactly_point_four_iou_is_fp_plus_fn(self):
         # 7x8 box shifted by 3: inter 4*8 = 32, union 10*8 = 80, IoU = 0.4
-        gt = {1: rect_mask(2, 2, 9, 10)}
-        hyp = {7: rect_mask(5, 2, 12, 10)}
-        inter = (gt[1] & hyp[7]).sum()
-        union = (gt[1] | hyp[7]).sum()
-        assert inter / union == 0.4
-        fm = match_frame(gt, hyp)
+        g, h = rect_mask(2, 2, 9, 10), rect_mask(5, 2, 12, 10)
+        assert (g & h).sum() / (g | h).sum() == 0.4
+        fm = match_frame(label_frame({1: g}), label_frame({7: h}))
         assert fm.pairs == [] and fm.fp_ids == [7] and fm.fn_ids == [1]
 
     def test_extra_hypothesis_is_fp(self):
-        gt = {1: rect_mask(2, 2, 10, 10)}
-        hyp = {1: rect_mask(2, 2, 10, 10), 2: rect_mask(20, 20, 28, 28)}
+        gt = label_frame({1: rect_mask(2, 2, 10, 10)})
+        hyp = label_frame({1: rect_mask(2, 2, 10, 10), 2: rect_mask(20, 20, 28, 28)})
         fm = match_frame(gt, hyp)
         assert fm.pairs == [(1, 1, 1.0)] and fm.fp_ids == [2]
 
-    def test_overlapping_side_rejected(self):
-        bad = {1: rect_mask(2, 2, 10, 10), 2: rect_mask(4, 4, 12, 12)}
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            match_frame(bad, {})
+            match_frame(label_frame({}), label_frame({}, shape=(16, 32)))
 
     def test_all_pairs_above_threshold(self):
-        gt = {1: rect_mask(2, 2, 10, 10)}
-        hyp = {9: rect_mask(3, 2, 11, 10)}  # IoU = 56/72 ~ 0.78
+        gt = label_frame({1: rect_mask(2, 2, 10, 10)})
+        hyp = label_frame({9: rect_mask(3, 2, 11, 10)})  # IoU = 56/72 ~ 0.78
         fm = match_frame(gt, hyp)
         assert fm.pairs[0][2] > 0.5
+
+    def test_pairs_sorted_by_iou_then_ids(self):
+        gt = label_frame({1: rect_mask(2, 2, 10, 10), 2: rect_mask(14, 2, 22, 10),
+                          3: rect_mask(2, 14, 10, 22)})
+        hyp = label_frame({5: rect_mask(3, 2, 11, 10), 6: rect_mask(14, 2, 22, 10),
+                           4: rect_mask(2, 14, 10, 22)})
+        fm = match_frame(gt, hyp)
+        assert [(g, h) for g, h, _ in fm.pairs] == [(2, 6), (3, 4), (1, 5)]
 
 
 class TestEvaluate:
     def test_toy_id_swap_counts_two_switches(self):
         a0, b0 = rect_mask(2, 2, 10, 10), rect_mask(18, 2, 26, 10)
-        gt = [{1: a0, 2: b0}, {1: a0, 2: b0}]
-        hyp = [{5: a0, 6: b0}, {6: a0, 5: b0}]  # deliberate swap in frame 2
+        gt = [label_frame({1: a0, 2: b0}), label_frame({1: a0, 2: b0})]
+        # deliberate swap in frame 2
+        hyp = [label_frame({5: a0, 6: b0}), label_frame({6: a0, 5: b0})]
         report = evaluate(gt, hyp)
         assert report.idsw == 2
         assert report.tp == 4 and report.fp == 0 and report.fn == 0
@@ -113,7 +151,7 @@ class TestEvaluate:
                 occupied |= m
                 if m.any():
                     fr[i + 1] = m
-            frames.append(fr)
+            frames.append(label_frame(fr))
         report = evaluate(frames, frames)
         assert report.tp == report.gt_total and report.fp == 0
         assert report.fn == 0 and report.idsw == 0
@@ -137,7 +175,8 @@ class TestEvaluate:
                             side[i + base] = m
                 gt_frames.append(gt)
                 hyp_frames.append(hyp)
-            report = evaluate(gt_frames, hyp_frames)
+            report = evaluate([label_frame(f) for f in gt_frames],
+                              [label_frame(f) for f in hyp_frames])
             expected = count_tracking_events(gt_frames, hyp_frames)
             assert report.tp == expected["tp"]
             assert report.fp == expected["fp"]
@@ -147,14 +186,14 @@ class TestEvaluate:
 
     def test_frame_count_mismatch(self):
         with pytest.raises(InvalidInputError):
-            evaluate([{}], [{}, {}])
+            evaluate([label_frame({})], [label_frame({}), label_frame({})])
 
     def test_smotsa_never_exceeds_motsa(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            gt = {1: rect_mask(2, 2, 12, 12)}
+            gt = label_frame({1: rect_mask(2, 2, 12, 12)})
             dx = int(rng.integers(0, 4))
-            hyp = {1: rect_mask(2 + dx, 2, 12 + dx, 12)}
+            hyp = label_frame({1: rect_mask(2 + dx, 2, 12 + dx, 12)})
             r = evaluate([gt], [hyp])
             assert r.smotsa <= r.motsa + 1e-12
 
