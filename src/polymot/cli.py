@@ -156,16 +156,19 @@ def _cmd_render(args) -> int:
              f'<rect width="{w}" height="{h}" fill="#202020"/>']
     label, ids = frames[args.frame]
     prev_label, prev_ids = frames.get(args.frame - 1, (None, []))
+    windows = _label_windows(label, len(ids))
+    prev_windows = _label_windows(prev_label, len(prev_ids)) if prev_ids else []
     for k, tid in enumerate(ids, start=1):
-        poly = polygonize(label == k, 32)
+        mask, origin = windows[k - 1]
+        poly = polygonize(mask, 32, origin)
         color = _SVG_COLORS[tid % len(_SVG_COLORS)]
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in poly.vertices)
         parts.append(f'<polygon points="{points}" fill="{color}" '
                      f'fill-opacity="0.45" stroke="{color}"/>')
         cx, cy = centroid(poly)
         if tid in prev_ids:
-            prev_mask = prev_label == prev_ids.index(tid) + 1
-            px, py = centroid(polygonize(prev_mask, 32))
+            prev_mask, prev_origin = prev_windows[prev_ids.index(tid)]
+            px, py = centroid(polygonize(prev_mask, 32, prev_origin))
             parts.append(f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{cx:.2f}" '
                          f'y2="{cy:.2f}" stroke="{color}" stroke-width="1.5"/>')
             parts.append(_arrow_head(px, py, cx, cy, color))
@@ -174,6 +177,24 @@ def _cmd_render(args) -> int:
     parts.append("</svg>")
     pio.atomic_write_text(args.out, "\n".join(parts) + "\n")
     return 0
+
+
+def _label_windows(label: np.ndarray, n: int) -> list[tuple[np.ndarray, tuple[int, int]]]:
+    """Mask of each label 1..n of a label image over its bounding window.
+
+    Returns ``(window, (x0, y0))`` per label, the window's top-left pixel
+    as ``polygonize`` takes it.  The windows come from one pass over the
+    set pixels; a label with no pixels gets an empty window.
+    """
+    ys, xs = np.nonzero(label)
+    ks = label[ys, xs]
+    corners = np.stack([xs, ys], axis=1)
+    lo = np.full((n + 1, 2), max(label.shape), dtype=corners.dtype)
+    hi = np.zeros((n + 1, 2), dtype=corners.dtype)
+    np.minimum.at(lo, ks, corners)
+    np.maximum.at(hi, ks, corners + 1)
+    return [(label[y0:y1, x0:x1] == k, (int(x0), int(y0)))
+            for k, ((x0, y0), (x1, y1)) in enumerate(zip(lo[1:], hi[1:]), start=1)]
 
 
 def _arrow_head(x1: float, y1: float, x2: float, y2: float, color: str) -> str:

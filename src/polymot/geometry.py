@@ -5,6 +5,11 @@ Conventions used throughout the package:
     sampled at its center (i + 0.5, j + 0.5);
   - binary masks are boolean numpy arrays of shape (height, width), indexed
     mask[y, x];
+  - a mask may be a window of a larger frame: a slice whose top-left pixel
+    is the frame pixel ``origin`` = (x0, y0), so window[y - y0, x - x0] is
+    frame pixel (x, y).  Work on a window costs the object's size, not the
+    frame's; vertices and boxes stay in frame coordinates and only the
+    pixel lookup is local;
   - polygons are ordered vertex rings, implicitly closed, with a fixed
     vertex count per run (32 by default).
 """
@@ -86,7 +91,11 @@ def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
 
     Sets target[j, i] = value iff the number of edge crossings strictly to
     the right of pixel center (i + 0.5, j + 0.5) along the +x ray is odd.
-    Pixels outside the (height, width) target are clipped.
+    Pixels outside the (height, width) target are clipped.  All scanlines
+    are filled at once: each crossing toggles the inside state from its
+    first covered column, and a closed ring crosses every scanline an even
+    number of times, so the parity of the toggles to a pixel's left
+    decides it.
     """
     height, width = target.shape
     v = p.vertices
@@ -97,19 +106,22 @@ def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
 
     y_lo = max(0, int(math.floor(min(y1.min(), y2.min()) - 0.5)))
     y_hi = min(height, int(math.ceil(max(y1.max(), y2.max()) + 0.5)))
-    for j in range(y_lo, y_hi):
-        py = j + 0.5
-        crossing = (y1 > py) != (y2 > py)
-        if not crossing.any():
-            continue
-        t = (py - y1[crossing]) / (y2[crossing] - y1[crossing])
-        xs = np.sort(x1[crossing] + t * (x2[crossing] - x1[crossing]))
-        for k in range(0, len(xs) - 1, 2):
-            # centers with xs[k] <= i + 0.5 < xs[k + 1]
-            i_lo = max(0, int(math.ceil(xs[k] - 0.5)))
-            i_hi = min(width, int(math.ceil(xs[k + 1] - 0.5)))
-            if i_hi > i_lo:
-                target[j, i_lo:i_hi] = value
+    py = np.arange(y_lo, y_hi) + 0.5
+    rows, edges = np.nonzero((y1 > py[:, None]) != (y2 > py[:, None]))
+    if rows.size == 0:
+        return
+    ey1, ex1 = y1[edges], x1[edges]
+    t = (py[rows] - ey1) / (y2[edges] - ey1)
+    xs = ex1 + t * (x2[edges] - ex1)
+    # centers with xs <= i + 0.5 lie right of the crossing
+    cols = np.clip(np.ceil(xs - 0.5), 0, width).astype(np.intp)
+    x_lo, x_hi = int(cols.min()), int(cols.max())
+    if x_hi <= x_lo:
+        return
+    span = x_hi - x_lo + 1
+    toggles = np.bincount(rows * span + (cols - x_lo), minlength=(y_hi - y_lo) * span)
+    inside = np.cumsum(toggles.reshape(y_hi - y_lo, span)[:, :-1], axis=1) % 2 == 1
+    target[y_lo:y_hi, x_lo:x_hi][inside] = value
 
 
 def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
@@ -134,8 +146,14 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
 RAY_STEP = 0.5
 
 
-def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT) -> Polygon:
+def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT,
+               origin: tuple[int, int] = (0, 0)) -> Polygon:
     """Approximate a mask by an n-vertex ring of first ray/mask intersections.
+
+    ``mask`` may be a window of a larger frame whose top-left pixel is
+    ``origin`` = (x0, y0); the window must hold every set pixel of the
+    object.  Vertices are in frame coordinates, so any window holding the
+    object gives the same ring as the full frame.
 
     Ray origins are spaced at equal arc-length intervals along the perimeter
     of the mask's tight bounding box, starting at the top-left corner and
@@ -151,24 +169,21 @@ def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT) -> Poly
     if len(ys) == 0:
         raise InvalidInputError("polygonize of an empty mask")
     h, w = mask.shape
+    ox, oy = origin
     # Occupied cells span [x0, x1 + 1) x [y0, y1 + 1) in continuous coords.
-    bx0, by0 = float(xs.min()), float(ys.min())
-    bx1, by1 = float(xs.max() + 1), float(ys.max() + 1)
+    bx0, by0 = float(xs.min() + ox), float(ys.min() + oy)
+    bx1, by1 = float(xs.max() + 1 + ox), float(ys.max() + 1 + oy)
     bw, bh = bx1 - bx0, by1 - by0
     center = np.array([bx0 + bw / 2.0, by0 + bh / 2.0])
 
     perimeter = 2.0 * (bw + bh)
-    arc = np.arange(n_vertices) * (perimeter / n_vertices)
-    origins = np.empty((n_vertices, 2))
-    for k, s in enumerate(arc):
-        if s < bw:  # top edge, left to right
-            origins[k] = (bx0 + s, by0)
-        elif s < bw + bh:  # right edge, downward
-            origins[k] = (bx1, by0 + (s - bw))
-        elif s < 2 * bw + bh:  # bottom edge, right to left
-            origins[k] = (bx1 - (s - bw - bh), by1)
-        else:  # left edge, upward
-            origins[k] = (bx0, by1 - (s - 2 * bw - bh))
+    s = np.arange(n_vertices) * (perimeter / n_vertices)
+    # clockwise from the top-left corner: top, right, bottom, else left edge
+    top, right, bottom = s < bw, s < bw + bh, s < 2 * bw + bh
+    x = np.where(top, bx0 + s, np.where(right, bx1, np.where(bottom, bx1 - (s - bw - bh), bx0)))
+    y = np.where(top, by0, np.where(right, by0 + (s - bw),
+                                    np.where(bottom, by1, by1 - (s - 2 * bw - bh))))
+    origins = np.stack([x, y], axis=1)
 
     deltas = center - origins
     lengths = np.hypot(deltas[:, 0], deltas[:, 1])
@@ -180,8 +195,9 @@ def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT) -> Poly
     safe_len = np.where(lengths > 0, lengths, 1.0)
     pts = origins[:, None, :] + (tc / safe_len[:, None])[:, :, None] * deltas[:, None, :]
 
-    ix = np.floor(pts[..., 0]).astype(np.int64)
-    iy = np.floor(pts[..., 1]).astype(np.int64)
+    # samples are placed in frame coordinates; only the lookup is local
+    ix = np.floor(pts[..., 0]).astype(np.int64) - ox
+    iy = np.floor(pts[..., 1]).astype(np.int64) - oy
     inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
     hit = np.zeros_like(inside)
     hit[inside] = mask[iy[inside], ix[inside]]

@@ -137,15 +137,27 @@ IDENTITY_NOISE = NoiseParams(drop_prob=0.0, fp_prob=0.0,
 
 
 def shape_mask(shape: str, cx: float, cy: float, w: float, h: float,
-               width: int, height: int) -> np.ndarray:
-    """Analytic occupancy of a rectangle or ellipse, sampled at pixel centers."""
-    px = np.arange(width) + 0.5
-    py = np.arange(height) + 0.5
+               width: int, height: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Analytic occupancy of a rectangle or ellipse, sampled at pixel centers.
+
+    Returns ``(mask, (x0, y0))``: the occupancy over the shape's bounding
+    box widened by 1 px and clipped to the image, and the window's top-left
+    pixel.  Every covered pixel of the image lies in the window, which is
+    empty when the shape is wholly outside.
+    """
+    x0 = min(max(int(math.floor(cx - w / 2.0)) - 1, 0), width)
+    y0 = min(max(int(math.floor(cy - h / 2.0)) - 1, 0), height)
+    x1 = min(max(int(math.ceil(cx + w / 2.0)) + 1, x0), width)
+    y1 = min(max(int(math.ceil(cy + h / 2.0)) + 1, y0), height)
+    px = np.arange(x0, x1) + 0.5
+    py = np.arange(y0, y1) + 0.5
     if shape == "rectangle":
-        return ((np.abs(px[None, :] - cx) <= w / 2.0)
+        mask = ((np.abs(px[None, :] - cx) <= w / 2.0)
                 & (np.abs(py[:, None] - cy) <= h / 2.0))
-    return ((px[None, :] - cx) ** 2 / (w / 2.0) ** 2
-            + (py[:, None] - cy) ** 2 / (h / 2.0) ** 2) <= 1.0
+    else:
+        mask = ((px[None, :] - cx) ** 2 / (w / 2.0) ** 2
+                + (py[:, None] - cy) ** 2 / (h / 2.0) ** 2) <= 1.0
+    return mask, (x0, y0)
 
 
 def _analytic_area(obj: ObjectSpec) -> float:
@@ -167,8 +179,8 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
             if not obj.present_at(frame, sc.n_frames):
                 continue
             cx, cy = obj.center_at(frame)
-            mask = shape_mask(obj.shape, cx, cy, obj.size[0], obj.size[1],
-                              sc.width, sc.height)
+            mask, origin = shape_mask(obj.shape, cx, cy, obj.size[0], obj.size[1],
+                                      sc.width, sc.height)
             visible = int(mask.sum())
             if visible == 0:
                 if frame == obj.enter_frame:
@@ -177,7 +189,7 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
                 continue
             if visible < sc.min_visibility * _analytic_area(obj):
                 continue
-            poly = polygonize(mask, sc.n_vertices)
+            poly = polygonize(mask, sc.n_vertices, origin)
             c = centroid(poly)
             entries.append(GroundTruthObject(
                 id=oid, class_id=obj.class_id, center=c, polygon=poly,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymot.errors import InvalidInputError
-from polymot.geometry import (Point2, Polygon, area, centroid, mask_iou,
-                              polygonize, rasterize)
+from polymot.geometry import (Point2, Polygon, area, centroid, fill_polygon,
+                              mask_iou, polygonize, rasterize)
 
 from oracles import rasterize_by_ray_cast
 
@@ -22,6 +22,32 @@ def star_polygon(rng, n=12, cx=16.0, cy=16.0, r_lo=3.0, r_hi=12.0):
     radii = rng.uniform(r_lo, r_hi, n)
     pts = np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
     return Polygon(pts)
+
+
+@st.composite
+def framed_masks(draw):
+    """A blob, rectangle, ellipse or speckle anywhere in a frame, the border
+    included; never empty."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["blob", "rectangle", "ellipse", "speckle"]))
+    cx, cy = draw(st.floats(-3, w + 3)), draw(st.floats(-3, h + 3))
+    a, b = draw(st.floats(0.2, 15)), draw(st.floats(0.2, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    yy, xx = np.mgrid[0:h, 0:w] + 0.5
+    if kind == "rectangle":
+        mask = (np.abs(xx - cx) <= a) & (np.abs(yy - cy) <= b)
+    elif kind == "ellipse":
+        mask = ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2 <= 1
+    elif kind == "blob":  # union of a few discs around the center
+        mask = np.zeros((h, w), bool)
+        for dx, dy, r in zip(*rng.normal(0, a, (2, 4)), rng.uniform(0.5, 0.5 + b, 4)):
+            mask |= (xx - cx - dx) ** 2 + (yy - cy - dy) ** 2 <= r * r
+    else:
+        mask = (rng.random((h, w)) < rng.uniform(0.02, 0.3)) \
+            & (np.abs(xx - cx) <= 2 * a) & (np.abs(yy - cy) <= 2 * b)
+    if not mask.any():
+        mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    return mask
 
 
 class TestCentroid:
@@ -100,6 +126,62 @@ class TestRasterize:
         pts = np.array([[2, 2], [28, 2], [28, 28], [16, 10], [2, 28]], float)
         p = Polygon(pts)
         assert (rasterize(p, 32, 32) == rasterize_by_ray_cast(pts, 32, 32)).all()
+
+    @pytest.mark.parametrize("pts", [
+        [[-6, -4], [14, 3], [9, 40], [-3, 20]],           # over the top-left corner
+        [[20, 10], [45, 12], [38, 30], [26, 25]],          # over the right border
+        [[5, -9], [25, -2], [30, 36], [2, 29]],            # taller than the frame
+        [[-20, 8], [-2, 8], [-2, 20]],                     # wholly left
+        [[40, -5], [60, 5], [45, 40]],                     # wholly right, spanning rows
+        [[3, -12], [20, -1], [9, -4]],                     # wholly above
+        [[3, 35], [20, 50], [9, 60]],                      # wholly below
+    ])
+    def test_outside_frame_matches_oracle(self, pts):
+        pts = np.array(pts, float)
+        assert (rasterize(Polygon(pts), 32, 32) == rasterize_by_ray_cast(pts, 32, 32)).all()
+
+    def test_self_intersecting_matches_oracle(self):
+        theta = np.arange(5) * 4 * math.pi / 5  # pentagram {5/2}
+        stars = [np.stack([16 + 13 * np.cos(theta), 16 + 13 * np.sin(theta)], axis=1)]
+        rng = np.random.default_rng(13)
+        stars += [rng.uniform(-4, 36, (n, 2)) for n in (6, 9, 14, 20)]  # random order
+        for pts in stars:
+            assert (rasterize(Polygon(pts), 32, 32) == rasterize_by_ray_cast(pts, 32, 32)).all()
+
+    @pytest.mark.parametrize("pts", [
+        [[3.2, 1.0], [3.4, 1.0], [3.3, 30.0]],            # narrower than a pixel
+        [[10.6, 2.0], [10.9, 2.0], [10.9, 29.0], [10.6, 29.0]],  # misses every center
+        [[1.0, 5.45], [30.0, 5.55], [1.0, 5.6]],          # flatter than a pixel
+        [[2.0, 2.0], [29.0, 28.0], [2.1, 2.3]],           # diagonal needle
+    ])
+    def test_sliver_matches_oracle(self, pts):
+        pts = np.array(pts, float)
+        assert (rasterize(Polygon(pts), 32, 32) == rasterize_by_ray_cast(pts, 32, 32)).all()
+
+    @pytest.mark.parametrize("pts", [
+        [[2, 3.5], [11, 3.5], [11, 9.5], [2, 9.5]],
+        [[2.5, 3.5], [10.5, 3.5], [10.5, 7.5], [2.5, 7.5]],
+        # staircase: every horizontal edge on a row of centers
+        [[1, 1.5], [8, 1.5], [8, 6.5], [15, 6.5], [15, 12.5], [22, 12.5],
+         [22, 20.5], [1, 20.5]],
+        [[4, 10.5], [28, 10.5], [16, 25.5]],              # triangle, flat top
+        [[16, 4.5], [28, 18.5], [16, 18.5], [4, 18.5]],   # collinear base vertices
+    ])
+    def test_horizontal_edges_on_centers_match_oracle(self, pts):
+        pts = np.array(pts, float)
+        assert (rasterize(Polygon(pts), 32, 32) == rasterize_by_ray_cast(pts, 32, 32)).all()
+
+    def test_overlapping_fills_paint_in_order(self):
+        rng = np.random.default_rng(17)
+        polys = [star_polygon(rng, cx=cx, cy=cy)
+                 for cx, cy in ((10, 10), (18, 14), (14, 20), (2, 30), (28, 4))]
+        label = np.zeros((32, 32), np.int32)
+        expected = np.zeros((32, 32), np.int32)
+        for k, p in enumerate(polys, start=1):
+            fill_polygon(label, p, k)
+            expected[rasterize_by_ray_cast(p.vertices, 32, 32)] = k
+        assert np.array_equal(label, expected)
+        assert len(np.unique(label)) == len(polys) + 1
 
     def test_bad_dims(self):
         with pytest.raises(InvalidInputError):
@@ -193,6 +275,16 @@ class TestPolygonize:
             assert (p.vertices[:, 0] <= xs.max() + 1 + 1e-9).all()
             assert (p.vertices[:, 1] >= ys.min() - 1e-9).all()
             assert (p.vertices[:, 1] <= ys.max() + 1 + 1e-9).all()
+
+    @given(framed_masks(), st.sampled_from([3, 16, 32]), st.tuples(*[st.integers(0, 3)] * 4))
+    @settings(max_examples=150, deadline=None)
+    def test_window_matches_full_frame(self, mask, n, margins):
+        ys, xs = np.nonzero(mask)
+        h, w = mask.shape
+        x0, y0 = max(0, xs.min() - margins[0]), max(0, ys.min() - margins[1])
+        x1, y1 = min(w, xs.max() + 1 + margins[2]), min(h, ys.max() + 1 + margins[3])
+        window = polygonize(mask[y0:y1, x0:x1], n, (int(x0), int(y0)))
+        assert np.array_equal(window.vertices, polygonize(mask, n).vertices)
 
     def test_vertex_count_and_errors(self):
         mask = np.zeros((8, 8), bool)

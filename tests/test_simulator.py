@@ -75,10 +75,53 @@ class TestGenerate:
             generate(sc)
 
     def test_shape_mask_geometry(self):
-        rect = shape_mask("rectangle", 8, 8, 6, 4, 16, 16)
+        rect, _ = shape_mask("rectangle", 8, 8, 6, 4, 16, 16)
         assert rect.sum() == 24
-        ell = shape_mask("ellipse", 8, 8, 8, 8, 16, 16)
+        ell, _ = shape_mask("ellipse", 8, 8, 8, 8, 16, 16)
         assert abs(ell.sum() - math.pi * 16) / (math.pi * 16) < 0.15
+
+
+def full_frame_shape(shape, cx, cy, w, h, width, height):
+    """Occupancy of every image pixel, evaluated at all of them."""
+    px = np.arange(width) + 0.5
+    py = np.arange(height) + 0.5
+    if shape == "rectangle":
+        return ((np.abs(px[None, :] - cx) <= w / 2.0)
+                & (np.abs(py[:, None] - cy) <= h / 2.0))
+    return ((px[None, :] - cx) ** 2 / (w / 2.0) ** 2
+            + (py[:, None] - cy) ** 2 / (h / 2.0) ** 2) <= 1.0
+
+
+class TestShapeMaskWindow:
+    @pytest.mark.parametrize("shape", ["rectangle", "ellipse"])
+    @pytest.mark.parametrize("cx, cy, w, h", [
+        (20.3, 15.7, 9.0, 6.4),      # inside
+        (8.0, 8.0, 0.4, 0.7),        # sub-pixel, between centers
+        (8.5, 8.5, 0.4, 0.7),        # sub-pixel, on a center
+        (1.2, 15.0, 11.0, 7.0),      # clipped at the left border
+        (38.9, 15.0, 11.0, 7.0),     # clipped at the right border
+        (20.0, 0.6, 11.0, 7.0),      # clipped at the top border
+        (20.0, 29.5, 11.0, 7.0),     # clipped at the bottom border
+        (-0.5, 31.0, 3.0, 3.0),      # clipped at a corner
+        (20.0, 15.0, 90.0, 70.0),    # larger than the image
+        (20.0, 15.0, 40.0, 30.0),    # exactly the image
+    ])
+    def test_window_equals_full_frame(self, shape, cx, cy, w, h):
+        width, height = 40, 30
+        mask, (x0, y0) = shape_mask(shape, cx, cy, w, h, width, height)
+        assert 0 <= x0 and x0 + mask.shape[1] <= width
+        assert 0 <= y0 and y0 + mask.shape[0] <= height
+        frame = np.zeros((height, width), bool)
+        frame[y0:y0 + mask.shape[0], x0:x0 + mask.shape[1]] = mask
+        assert np.array_equal(frame, full_frame_shape(shape, cx, cy, w, h, width, height))
+        assert mask.shape[0] <= h + 4 and mask.shape[1] <= w + 4  # bbox +- 1 px
+
+    @pytest.mark.parametrize("shape", ["rectangle", "ellipse"])
+    @pytest.mark.parametrize("cx, cy", [(-9.0, 15.0), (50.0, 15.0), (20.0, -7.0),
+                                        (20.0, 38.0), (-30.0, -30.0)])
+    def test_wholly_outside_gives_empty_window(self, shape, cx, cy):
+        mask, _ = shape_mask(shape, cx, cy, 10.0, 8.0, 40, 30)
+        assert mask.size == 0
 
 
 class TestPerturb:
