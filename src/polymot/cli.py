@@ -13,12 +13,10 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
 from . import io as pio
 from .errors import InvalidInputError, ParseError, PolymotError
 from .geometry import centroid, polygonize
-from .metrics import evaluate
+from .metrics import Frame, evaluate
 from .simulator import build_scenario, generate, perturb
 from .tracker import Tracker
 
@@ -115,7 +113,7 @@ def _cmd_evaluate(args) -> int:
     all_frames = set(gt_frames) | set(hyp_frames)
     if all_frames:
         lo, hi = min(all_frames), max(all_frames)
-        empty = (np.zeros(gt_dims if gt_frames else hyp_dims, dtype=np.int32), [])
+        empty = Frame.empty(gt_dims if gt_frames else hyp_dims)
         gt_seq = [gt_frames.get(f, empty) for f in range(lo, hi + 1)]
         hyp_seq = [hyp_frames.get(f, empty) for f in range(lo, hi + 1)]
     else:
@@ -154,20 +152,18 @@ def _cmd_render(args) -> int:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
              f'viewBox="0 0 {w} {h}">',
              f'<rect width="{w}" height="{h}" fill="#202020"/>']
-    label, ids = frames[args.frame]
-    prev_label, prev_ids = frames.get(args.frame - 1, (None, []))
-    windows = _label_windows(label, len(ids))
-    prev_windows = _label_windows(prev_label, len(prev_ids)) if prev_ids else []
-    for k, tid in enumerate(ids, start=1):
-        mask, origin = windows[k - 1]
+    frame = frames[args.frame]
+    prev = frames.get(args.frame - 1, Frame.empty(dims))
+    for k, tid in enumerate(frame.ids, start=1):
+        mask, origin = frame.window(k)
         poly = polygonize(mask, 32, origin)
         color = _SVG_COLORS[tid % len(_SVG_COLORS)]
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in poly.vertices)
         parts.append(f'<polygon points="{points}" fill="{color}" '
                      f'fill-opacity="0.45" stroke="{color}"/>')
         cx, cy = centroid(poly)
-        if tid in prev_ids:
-            prev_mask, prev_origin = prev_windows[prev_ids.index(tid)]
+        if tid in prev.ids:
+            prev_mask, prev_origin = prev.window(prev.ids.index(tid) + 1)
             px, py = centroid(polygonize(prev_mask, 32, prev_origin))
             parts.append(f'<line x1="{px:.2f}" y1="{py:.2f}" x2="{cx:.2f}" '
                          f'y2="{cy:.2f}" stroke="{color}" stroke-width="1.5"/>')
@@ -177,24 +173,6 @@ def _cmd_render(args) -> int:
     parts.append("</svg>")
     pio.atomic_write_text(args.out, "\n".join(parts) + "\n")
     return 0
-
-
-def _label_windows(label: np.ndarray, n: int) -> list[tuple[np.ndarray, tuple[int, int]]]:
-    """Mask of each label 1..n of a label image over its bounding window.
-
-    Returns ``(window, (x0, y0))`` per label, the window's top-left pixel
-    as ``polygonize`` takes it.  The windows come from one pass over the
-    set pixels; a label with no pixels gets an empty window.
-    """
-    ys, xs = np.nonzero(label)
-    ks = label[ys, xs]
-    corners = np.stack([xs, ys], axis=1)
-    lo = np.full((n + 1, 2), max(label.shape), dtype=corners.dtype)
-    hi = np.zeros((n + 1, 2), dtype=corners.dtype)
-    np.minimum.at(lo, ks, corners)
-    np.maximum.at(hi, ks, corners + 1)
-    return [(label[y0:y1, x0:x1] == k, (int(x0), int(y0)))
-            for k, ((x0, y0), (x1, y1)) in enumerate(zip(lo[1:], hi[1:]), start=1)]
 
 
 def _arrow_head(x1: float, y1: float, x2: float, y2: float, color: str) -> str:

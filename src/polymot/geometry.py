@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -86,7 +86,8 @@ def polygon_areas(rings: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(x * yn - xn * y, axis=-1)) / 2.0
 
 
-def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
+def fill_polygon(target: np.ndarray, p: Polygon,
+                 value) -> Optional[tuple[int, int, int, int]]:
     """Scanline fill with the even-odd rule, sampled at pixel centers.
 
     Sets target[j, i] = value iff the number of edge crossings strictly to
@@ -95,33 +96,35 @@ def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
     are filled at once: each crossing toggles the inside state from its
     first covered column, and a closed ring crosses every scanline an even
     number of times, so the parity of the toggles to a pixel's left
-    decides it.
+    decides it.  Returns a window (x0, x1, y0, y1) holding every pixel it
+    set; None means it set none.
     """
     height, width = target.shape
     v = p.vertices
     if len(p) < 3:
-        return
+        return None
     x1, y1 = v[:, 0], v[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x2, y2 = np.concatenate((v[1:], v[:1])).T  # each edge's far end
 
-    y_lo = max(0, int(math.floor(min(y1.min(), y2.min()) - 0.5)))
-    y_hi = min(height, int(math.ceil(max(y1.max(), y2.max()) + 0.5)))
+    y_lo = max(0, int(math.floor(y1.min() - 0.5)))
+    y_hi = min(height, int(math.ceil(y1.max() + 0.5)))
     py = np.arange(y_lo, y_hi) + 0.5
     rows, edges = np.nonzero((y1 > py[:, None]) != (y2 > py[:, None]))
     if rows.size == 0:
-        return
+        return None
     ey1, ex1 = y1[edges], x1[edges]
     t = (py[rows] - ey1) / (y2[edges] - ey1)
     xs = ex1 + t * (x2[edges] - ex1)
     # centers with xs <= i + 0.5 lie right of the crossing
-    cols = np.clip(np.ceil(xs - 0.5), 0, width).astype(np.intp)
+    cols = np.minimum(np.maximum(np.ceil(xs - 0.5), 0), width).astype(np.intp)
     x_lo, x_hi = int(cols.min()), int(cols.max())
     if x_hi <= x_lo:
-        return
+        return None
     span = x_hi - x_lo + 1
     toggles = np.bincount(rows * span + (cols - x_lo), minlength=(y_hi - y_lo) * span)
     inside = np.cumsum(toggles.reshape(y_hi - y_lo, span)[:, :-1], axis=1) % 2 == 1
     target[y_lo:y_hi, x_lo:x_hi][inside] = value
+    return x_lo, x_hi, y_lo + int(rows[0]), y_lo + int(rows[-1]) + 1
 
 
 def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:

@@ -12,10 +12,10 @@ the MOTS submission layout, one line per instance:
     frame track_id class_id img_height img_width rle
 
 with the compressed run-length string from :mod:`polymot.rle`.  A frame
-is held as one label image (see :mod:`polymot.metrics`) when written and
-when read; a record claiming a pixel that an earlier record of its frame
-holds is a ParseError naming the line.  All writes go through a temp file
-and an atomic rename.
+is held as its column-major runs (a :class:`polymot.metrics.Frame`) when
+written and when read; a record claiming a pixel that an earlier record
+of its frame holds is a ParseError naming the line.  All writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from __future__ import annotations
 import configparser
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
 from .geometry import Point2, Polygon
-from .metrics import Frame, MetricsReport, flatten_frame
-from .rle import decode_rle_into, encode_labels
+from .metrics import Frame, MetricsReport, Runs, flatten_frame, run_pixels
+from .rle import decode_runs, encode_runs
 from .simulator import NoiseParams
 from .tracker import Detection, Track, TrackerConfig, emitted_instances
 from .ukf import UkfParams
@@ -115,14 +115,15 @@ InstanceRecord = tuple[int, int, "Polygon", float]
 
 def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
                            width: int, height: int, path: str) -> None:
-    """Flatten each frame's instances to a label image and write RLE lines."""
+    """Flatten each frame's instances to runs and write RLE lines."""
     lines = []
     for frame in sorted(per_frame):
         records = per_frame[frame]
         classes = {iid: cls for iid, cls, _, _ in records}
-        label, ids = flatten_frame(
+        flat = flatten_frame(
             [(iid, poly, depth) for iid, _, poly, depth in records], width, height)
-        for iid, rle in zip(ids, encode_labels(label, len(ids))):
+        for iid, (starts, stops) in zip(flat.ids, flat.instance_runs()):
+            rle = encode_runs(starts, stops, width * height)
             lines.append(f"{frame} {iid} {classes[iid]} {height} {width} {rle}")
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -133,52 +134,83 @@ def write_results(tracks: Sequence[Track], width: int, height: int,
     write_instance_records(emitted_instances(tracks), width, height, path)
 
 
+@dataclass
+class _FrameRecords:
+    """The records of one frame read so far, in file order."""
+
+    ids: list[int] = field(default_factory=list)
+    runs: list[Runs] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
+
+
 def parse_mask_records(path: str) -> tuple[dict[int, Frame], dict[int, int],
                                            tuple[int, int]]:
-    """Read result-format lines: per-frame label images, id->class, (h, w)."""
-    buffers: dict[int, tuple[np.ndarray, list[int]]] = {}
+    """Read result-format lines: per-frame runs, id->class, (h, w)."""
+    records: dict[int, _FrameRecords] = {}
     classes: dict[int, int] = {}
     dims: Optional[tuple[int, int]] = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = _strip_comment(raw).split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                frame, tid, cls, h, w = (int(x) for x in parts[:5])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if dims is None:
-                if h < 1 or w < 1:
-                    raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} not positive")
-                dims = (h, w)
-            elif dims != (h, w):
-                raise ParseError(
-                    f"{path}:{lineno}: dimensions {h}x{w} differ from {dims[0]}x{dims[1]}")
-            if frame not in buffers:
-                buffers[frame] = (np.zeros(h * w, dtype=np.int32), [])
-            flat, ids = buffers[frame]
-            if tid in ids:
-                raise ParseError(f"{path}:{lineno}: duplicate id {tid} in frame {frame}")
-            ids.append(tid)
-            try:
-                decode_rle_into(parts[5], flat, len(ids))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            classes[tid] = cls
-    frames = {frame: _sorted_frame(flat.reshape(dims, order="F"), ids)
-              for frame, (flat, ids) in buffers.items()}
-    return frames, classes, dims or (0, 0)
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = _strip_comment(raw).split()
+                if not parts:
+                    continue
+                if len(parts) != 6:
+                    raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                try:
+                    frame, tid, cls, h, w = (int(x) for x in parts[:5])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if dims is None:
+                    if h < 1 or w < 1:
+                        raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} not positive")
+                    if h * w > np.iinfo(np.intp).max:  # run indices are intp
+                        raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} too large")
+                    dims = (h, w)
+                elif dims != (h, w):
+                    raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} differ "
+                                     f"from {dims[0]}x{dims[1]}")
+                rec = records.setdefault(frame, _FrameRecords())
+                if tid in rec.ids:
+                    raise ParseError(f"{path}:{lineno}: duplicate id {tid} in frame {frame}")
+                try:
+                    rec.runs.append(decode_runs(parts[5], h * w))
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                rec.ids.append(tid)
+                rec.lines.append(lineno)
+                classes[tid] = cls
+    except ParseError:
+        _frames(path, records, dims)  # an overlap on an earlier line comes first
+        raise
+    return _frames(path, records, dims), classes, dims or (0, 0)
 
 
-def _sorted_frame(label: np.ndarray, ids: list[int]) -> Frame:
-    """Renumber labels so that ids ascend (records may come in any order)."""
-    if ids == sorted(ids):
-        return label, ids
-    ranks = np.argsort(np.argsort(ids)) + 1  # ids are unique within a frame
-    return np.concatenate(([0], ranks)).astype(np.int32)[label], sorted(ids)
+def _frames(path: str, records: dict[int, _FrameRecords],
+            dims: Optional[tuple[int, int]]) -> dict[int, Frame]:
+    """The frames of the records, or a ParseError naming the first line, in
+    file order, whose record claims a pixel an earlier record of its frame holds."""
+    frames = {}
+    overlaps = []
+    for frame, rec in records.items():
+        frames[frame] = Frame.from_instance_runs(dims, rec.ids, rec.runs)
+        if not frames[frame].disjoint():
+            overlaps.append(rec.lines[_first_overlap(rec.runs, dims[0] * dims[1])])
+    if overlaps:
+        raise ParseError(f"{path}:{min(overlaps)}: mask overlaps an earlier "
+                         f"mask of the same frame")
+    return frames
+
+
+def _first_overlap(runs: Sequence[Runs], size: int) -> int:
+    """Index of the first record that claims a pixel an earlier one holds."""
+    claimed = np.zeros(size, dtype=bool)
+    for k, (starts, stops) in enumerate(runs):
+        pixels = run_pixels(starts, stops)
+        if claimed[pixels].any():
+            return k
+        claimed[pixels] = True
+    raise AssertionError("no record overlaps an earlier one")
 
 
 def read_pgm(path: str) -> np.ndarray:

@@ -1,21 +1,24 @@
 """Mask-based tracking-and-segmentation evaluation.
 
-A frame is one label image ``(label, ids)``: ``label`` is an int32 array of
-shape (height, width) where 0 is background and label k >= 1 stands for
-instance ``ids[k - 1]``; ``ids`` ascend.  Instances are painted
-farthest-first (larger depth value = farther), so nearer ones overwrite
-and the masks are pixel-disjoint by construction; a result file whose
-records overlap is rejected when it is decoded.  Matching requires
-IoU > 0.5, which with disjoint masks on both sides admits at most one
-candidate per mask; identity switches follow the CLEAR convention (a
-ground-truth track's matched hypothesis id differs from its most recent
-previously matched id).
+A frame is its column-major runs, a :class:`Frame`: pixel (x, y) of an
+h x w frame has index x * h + y, and each run [start, stop) of indices
+carries a label k >= 1 that stands for instance ``ids[k - 1]``; ids
+ascend.  Runs are sorted, disjoint and maximal per label (two runs of one
+label never touch), so a frame costs its instances' outlines, not its
+pixels.  Instances are flattened farthest-first (larger depth value =
+farther), so nearer ones overwrite and the masks are pixel-disjoint by
+construction; a result file whose records overlap is rejected when it is
+read.  Matching requires IoU > 0.5, which with disjoint masks on both
+sides admits at most one candidate per mask; identity switches follow the
+CLEAR convention (a ground-truth track's matched hypothesis id differs
+from its most recent previously matched id).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +29,99 @@ IOU_THRESHOLD = 0.5
 
 # (instance id, polygon, depth); depth orders overlaps, smaller = nearer
 InstanceTriple = tuple[int, Polygon, float]
-# (label image, ascending instance ids); label k >= 1 stands for ids[k - 1]
-Frame = tuple[np.ndarray, list[int]]
+# (starts, stops) of one instance's runs, in pixel order
+Runs = tuple[np.ndarray, np.ndarray]
+
+
+def run_pixels(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Every index of the runs [starts[i], stops[i]), concatenated in order."""
+    lengths = stops - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _read_runs(values: np.ndarray, pixels=None) -> tuple[np.ndarray, ...]:
+    """(starts, stops, labels) of the nonzero runs of values read at pixels.
+
+    pixels ascend (default: every pixel, in order); a run ends where the
+    value changes or the next pixel read is not the next index.
+    """
+    if values.size == 0:
+        none = np.zeros(0, np.intp)
+        return none, none, none
+    change = values[1:] != values[:-1]
+    if pixels is not None:
+        change |= pixels[1:] != pixels[:-1] + 1
+    bounds = np.flatnonzero(change) + 1
+    first = np.concatenate(([0], bounds))
+    last = np.concatenate((bounds, [values.size]))
+    labels = values[first]
+    keep = labels != 0
+    first, last, labels = first[keep], last[keep], labels[keep].astype(np.intp)
+    if pixels is None:
+        return first, last, labels
+    return pixels[first], pixels[last - 1] + 1, labels
+
+
+class Frame(NamedTuple):
+    """One frame's instance masks as column-major runs (see the module doc)."""
+
+    shape: tuple[int, int]  # (height, width)
+    starts: np.ndarray      # first pixel index of each run
+    stops: np.ndarray       # one past its last pixel index
+    labels: np.ndarray      # label k >= 1 of each run: instance ids[k - 1]
+    ids: list[int]          # ascending
+
+    @classmethod
+    def empty(cls, shape: tuple[int, int]) -> "Frame":
+        none = np.zeros(0, np.intp)
+        return cls(tuple(shape), none, none, none, [])
+
+    @classmethod
+    def from_label(cls, label: np.ndarray, ids: Sequence[int]) -> "Frame":
+        """Runs of a label image (0 = background, k = ids[k - 1]), all columns read."""
+        return cls(label.shape, *_read_runs(label.ravel(order="F")), list(ids))
+
+    @classmethod
+    def from_instance_runs(cls, shape: tuple[int, int], ids: Sequence[int],
+                           runs: Sequence[Runs]) -> "Frame":
+        """Frame of instances given as runs per id, ids in any order.
+
+        The instances must not overlap; :meth:`disjoint` tells.
+        """
+        if not ids:
+            return cls.empty(shape)
+        ranks = np.argsort(np.argsort(ids)) + 1
+        starts = np.concatenate([s for s, _ in runs])
+        order = np.argsort(starts, kind="stable")
+        stops = np.concatenate([e for _, e in runs])
+        labels = np.repeat(ranks, [len(s) for s, _ in runs])
+        return cls(tuple(shape), starts[order], stops[order], labels[order],
+                   sorted(ids))
+
+    def disjoint(self) -> bool:
+        """Whether no pixel belongs to two runs."""
+        return not (self.starts[1:] < self.stops[:-1]).any()
+
+    def instance_runs(self) -> list[Runs]:
+        """The runs of each label 1..len(ids), each in pixel order."""
+        order = np.argsort(self.labels, kind="stable")
+        edges = np.searchsorted(self.labels[order], np.arange(1, len(self.ids) + 2))
+        return [(self.starts[order[lo:hi]], self.stops[order[lo:hi]])
+                for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def window(self, k: int) -> tuple[np.ndarray, tuple[int, int]]:
+        """Mask of label k over its bounding window, and the window's top-left
+        pixel (x0, y0) as ``polygonize`` takes it; empty for an empty label."""
+        of_k = self.labels == k
+        xs, ys = np.divmod(run_pixels(self.starts[of_k], self.stops[of_k]),
+                           self.shape[0])
+        if xs.size == 0:
+            return np.zeros((0, 0), bool), (0, 0)
+        x0, y0 = int(xs.min()), int(ys.min())
+        mask = np.zeros((int(ys.max()) + 1 - y0, int(xs.max()) + 1 - x0), bool)
+        mask[ys - y0, xs - x0] = True
+        return mask, (x0, y0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +165,11 @@ class MetricsReport:
 
 def flatten_frame(instances: Iterable[InstanceTriple],
                   width: int, height: int) -> Frame:
-    """Depth-ordered label image of one frame's instances.
+    """Depth-ordered runs of one frame's instances.
 
-    Paints farthest first so nearer instances overwrite farther ones;
-    instances left with no visible pixels are omitted.
+    Paints farthest first into a scratch label so nearer instances
+    overwrite farther ones, then reads back only the columns the fills
+    touched; instances left with no visible pixels are omitted.
     """
     items = list(instances)
     for iid, _, depth in items:
@@ -83,18 +178,32 @@ def flatten_frame(instances: Iterable[InstanceTriple],
     if width < 1 or height < 1:
         raise InvalidInputError("frame must be at least 1x1")
     ids = sorted({iid for iid, _, _ in items})
+    if len(ids) < len(items):
+        dup = next(iid for iid, n in Counter(it[0] for it in items).items() if n > 1)
+        raise InvalidInputError(f"duplicate id {dup}")
     rank = {iid: k for k, iid in enumerate(ids, start=1)}
-    label = np.zeros((height, width), dtype=np.int32)
+    # column-major, so each column's strip is contiguous
+    flat = np.zeros(height * width, dtype=np.int32)
+    label = flat.reshape((height, width), order="F")
+    top = np.full(width, height)
+    bottom = np.zeros(width, dtype=top.dtype)
     # farthest first; ties broken by id for determinism
     for iid, poly, _ in sorted(items, key=lambda it: (-it[2], it[0])):
-        fill_polygon(label, poly, rank[iid])
-    visible = np.bincount(label.ravel(), minlength=len(ids) + 1)[1:] > 0
-    if not visible.all():
-        relabel = np.zeros(len(ids) + 1, dtype=np.int32)
-        relabel[1:][visible] = np.arange(1, np.count_nonzero(visible) + 1)
-        label = relabel[label]
-        ids = [iid for iid, seen in zip(ids, visible) if seen]
-    return label, ids
+        box = fill_polygon(label, poly, rank[iid])
+        if box is not None:
+            x0, x1, y0, y1 = box
+            np.minimum(top[x0:x1], y0, out=top[x0:x1])
+            np.maximum(bottom[x0:x1], y1, out=bottom[x0:x1])
+    cols = np.flatnonzero(bottom > top)
+    # one ragged gather of every touched column's [top, bottom) strip
+    pixels = run_pixels(cols * height + top[cols], cols * height + bottom[cols])
+    starts, stops, labels = _read_runs(flat[pixels], pixels)
+    visible = np.zeros(len(ids) + 1, dtype=bool)
+    visible[labels] = True
+    if not visible[1:].all():
+        labels = np.cumsum(visible)[labels]
+        ids = [iid for iid, seen in zip(ids, visible[1:]) if seen]
+    return Frame((height, width), starts, stops, labels, ids)
 
 
 def flatten(frames: Sequence[Iterable[InstanceTriple]],
@@ -103,28 +212,35 @@ def flatten(frames: Sequence[Iterable[InstanceTriple]],
 
 
 def match_frame(gt: Frame, hyp: Frame) -> FrameMatch:
-    """IoU > 0.5 matching of one frame from its joint label histogram.
+    """IoU > 0.5 matching of one frame by joining the two sides' runs.
 
     Pairs are ordered by descending IoU, ties by lower ids.
     """
-    (g_label, g_ids), (h_label, h_ids) = gt, hyp
-    if g_label.shape != h_label.shape:
+    if gt.shape != hyp.shape:
         raise InvalidInputError(
-            f"frame shape mismatch: {g_label.shape} gt vs {h_label.shape} hyp")
-    n_g, n_h = len(g_ids), len(h_ids)
-    joint = np.bincount((g_label * (n_h + 1) + h_label).ravel(order="K"),
-                        minlength=(n_g + 1) * (n_h + 1)).reshape(n_g + 1, n_h + 1)
-    inter = joint[1:, 1:]
-    union = joint[1:, :].sum(axis=1)[:, None] + joint[:, 1:].sum(axis=0) - inter
+            f"frame shape mismatch: {gt.shape} gt vs {hyp.shape} hyp")
+    n_g, n_h = len(gt.ids), len(hyp.ids)
+    # hyp runs [lo, hi) overlap each gt run: both sides are sorted and disjoint
+    lo = np.searchsorted(hyp.stops, gt.starts, side="right")
+    hi = np.searchsorted(hyp.starts, gt.stops, side="left")
+    g_run = np.repeat(np.arange(len(lo)), hi - lo)
+    h_run = run_pixels(lo, hi)
+    shared = (np.minimum(gt.stops[g_run], hyp.stops[h_run])
+              - np.maximum(gt.starts[g_run], hyp.starts[h_run]))
+    inter = np.bincount((gt.labels[g_run] - 1) * n_h + (hyp.labels[h_run] - 1),
+                        weights=shared, minlength=n_g * n_h).reshape(n_g, n_h)
+    g_area = np.bincount(gt.labels, weights=gt.stops - gt.starts, minlength=n_g + 1)
+    h_area = np.bincount(hyp.labels, weights=hyp.stops - hyp.starts, minlength=n_h + 1)
+    union = g_area[1:, None] + h_area[1:] - inter
     iou = inter / np.maximum(union, 1)
-    pairs = sorted(((g_ids[g], h_ids[h], float(iou[g, h]))
+    pairs = sorted(((gt.ids[g], hyp.ids[h], float(iou[g, h]))
                     for g, h in zip(*np.nonzero(iou > IOU_THRESHOLD))),
                    key=lambda p: (-p[2], p[0], p[1]))
     matched_g = {g for g, _, _ in pairs}
     matched_h = {h for _, h, _ in pairs}
     return FrameMatch(pairs=pairs,
-                      fp_ids=[h for h in h_ids if h not in matched_h],
-                      fn_ids=[g for g in g_ids if g not in matched_g])
+                      fp_ids=[h for h in hyp.ids if h not in matched_h],
+                      fn_ids=[g for g in gt.ids if g not in matched_g])
 
 
 def evaluate(gt_frames: Sequence[Frame],
@@ -153,6 +269,6 @@ def evaluate(gt_frames: Sequence[Frame],
 def evaluate_polygons(gt_frames: Sequence[Iterable[InstanceTriple]],
                       hyp_frames: Sequence[Iterable[InstanceTriple]],
                       width: int, height: int) -> MetricsReport:
-    """Flatten both polygon sequences to label images, then evaluate."""
+    """Flatten both polygon sequences to run frames, then evaluate."""
     return evaluate(flatten(gt_frames, width, height),
                     flatten(hyp_frames, width, height))

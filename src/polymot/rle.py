@@ -1,4 +1,4 @@
-"""Compressed run-length strings for the masks of a label image.
+"""Compressed run-length strings for the masks of a frame.
 
 The interchange format used by the MOTS result files: per instance, the
 column-major run lengths of its mask, beginning with the count of zero
@@ -8,10 +8,10 @@ convention) and emitted as little-endian groups of 5 payload bits plus a
 continuation bit, each group offset by ASCII 48.  A set 0x10 bit in the
 final group sign-extends the value, so negative deltas survive the trip.
 
-A frame is one int32 label image (0 = background, k >= 1 = its k-th
-instance): :func:`encode_labels` encodes all its labels in one pass over
-the run boundaries, and :func:`decode_rle_into` paints one string into a
-frame's column-major buffer, rejecting a pixel claimed twice.
+The counts are the gaps and lengths of an instance's column-major runs
+(see :class:`polymot.metrics.Frame`), so :func:`encode_runs` forms them
+from a frame's runs and :func:`decode_runs` turns them back into runs by
+a cumulative sum; no pixel is touched on either path.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
+from .metrics import Frame, run_pixels
 
 
 def _counts_to_string(counts: list[int]) -> str:
@@ -36,32 +37,23 @@ def _counts_to_string(counts: list[int]) -> str:
     return "".join(chars)
 
 
-def encode_labels(label: np.ndarray, n_labels: int) -> list[str]:
-    """Run-length strings of labels 1..n_labels of a 2-D label image."""
-    if label.ndim != 2:
-        raise InvalidInputError(f"mask must be 2-D, got shape {label.shape}")
-    flat = label.ravel(order="F")
-    if flat.size == 0:
-        raise InvalidInputError("cannot encode an empty mask")
-    bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    stops = np.concatenate((bounds, [flat.size]))
-    # runs grouped by label, each group in column-major order
-    order = np.argsort(flat[starts], kind="stable")
-    edges = np.searchsorted(flat[starts[order]], np.arange(1, n_labels + 2))
-    strings = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        marks = np.column_stack((starts[order[lo:hi]], stops[order[lo:hi]]))
-        counts = np.diff(marks.ravel(), prepend=0, append=flat.size).tolist()
-        if counts[-1] == 0:
-            counts.pop()  # the last run reaches the final pixel
-        strings.append(_counts_to_string(counts))
-    return strings
+def encode_runs(starts: np.ndarray, stops: np.ndarray, size: int) -> str:
+    """Run-length string of one instance's sorted, maximal runs in size pixels."""
+    counts = np.diff(np.column_stack((starts, stops)).ravel(),
+                     prepend=0, append=size).tolist()
+    if counts[-1] == 0:
+        counts.pop()  # the last run reaches the final pixel
+    return _counts_to_string(counts)
 
 
 def encode_rle(mask: np.ndarray) -> str:
     """Compress a 2-D boolean mask to its run-length string."""
-    return encode_labels(np.asarray(mask, dtype=bool).view(np.uint8), 1)[0]
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise InvalidInputError(f"mask must be 2-D, got shape {mask.shape}")
+    if mask.size == 0:
+        raise InvalidInputError("cannot encode an empty mask")
+    return encode_runs(*Frame.from_label(mask, [1]).instance_runs()[0], mask.size)
 
 
 def _string_to_counts(s: str) -> list[int]:
@@ -89,26 +81,26 @@ def _string_to_counts(s: str) -> list[int]:
     return counts
 
 
-def decode_rle_into(s: str, flat: np.ndarray, value: int) -> None:
-    """Set the pixels of one string's runs to value in a column-major buffer.
+def decode_runs(s: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted, maximal runs (starts, stops) of one string over size pixels.
 
-    Raises ParseError when the runs do not cover the buffer exactly or
-    claim a pixel that is already nonzero.
+    Raises ParseError when a run is negative or the runs do not cover
+    size pixels exactly.
     """
     counts = _string_to_counts(s)
     if any(c < 0 for c in counts):
         raise ParseError("negative run length after delta decoding")
-    if sum(counts) != flat.size:
-        raise ParseError(
-            f"run lengths cover {sum(counts)} pixels, expected {flat.size}")
-    ends = np.cumsum(counts[: len(counts) // 2 * 2], dtype=np.int64)
-    starts, lengths = ends[0::2], np.diff(ends)[0::2]
-    # pixel indices of every run: each run's start plus its offset within the run
-    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    pixels = np.arange(len(shift)) + shift
-    if flat[pixels].any():
-        raise ParseError("mask overlaps an earlier mask of the same frame")
-    flat[pixels] = value
+    if sum(counts) != size:
+        raise ParseError(f"run lengths cover {sum(counts)} pixels, expected {size}")
+    ends = np.cumsum(counts[: len(counts) // 2 * 2], dtype=np.intp)
+    starts, stops = ends[0::2], ends[1::2]
+    # zero-length counts are legal: drop empty runs, join runs that touch
+    keep = stops > starts
+    starts, stops = starts[keep], stops[keep]
+    joined = np.flatnonzero(starts[1:] == stops[:-1])
+    if joined.size:
+        starts, stops = np.delete(starts, joined + 1), np.delete(stops, joined)
+    return starts, stops
 
 
 def decode_rle(s: str, height: int, width: int) -> np.ndarray:
@@ -116,5 +108,5 @@ def decode_rle(s: str, height: int, width: int) -> np.ndarray:
     if height < 1 or width < 1:
         raise InvalidInputError("mask dimensions must be positive")
     flat = np.zeros(height * width, dtype=bool)
-    decode_rle_into(s, flat, True)
+    flat[run_pixels(*decode_runs(s, flat.size))] = True
     return flat.reshape((height, width), order="F")

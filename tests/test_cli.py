@@ -151,8 +151,7 @@ def test_render_svg_structure(tmp_path):
     ns = "{http://www.w3.org/2000/svg}"
     polygons = tree.getroot().findall(f"{ns}polygon")
     frames, _, _ = pio.parse_mask_records(str(tmp_path / "results_ukf.txt"))
-    _, ids = frames[5]
-    assert len(polygons) == len(ids)
+    assert len(polygons) == len(frames[5].ids)
     texts = tree.getroot().findall(f"{ns}text")
     assert len(texts) == len(polygons)
 

@@ -16,6 +16,8 @@ from polymot.simulator import IDENTITY_NOISE, build_scenario, generate, perturb
 from polymot.tracker import (Detection, TrackerConfig, emitted_instances,
                              run_sequence)
 
+from test_metrics import assert_same_frame, label_image
+
 
 def sample_detections(n_frames=6):
     sc = build_scenario("linear", 2, n_frames, 256, 160, 3)
@@ -151,12 +153,11 @@ class TestResultFiles:
         assert frames and classes
         emitted = emitted_instances(tracks)
         assert sorted(frames) == sorted(emitted)
-        for f, (label, ids) in frames.items():
-            # the file holds exactly the depth-ordered label image it was written from
-            want_label, want_ids = flatten_frame(
+        for f, frame in frames.items():
+            # the file holds exactly the depth-ordered runs it was written from
+            want = flatten_frame(
                 [(tid, poly, depth) for tid, _, poly, depth in emitted[f]], 256, 160)
-            assert ids == want_ids
-            assert (label == want_label).all()
+            assert_same_frame(frame, want)
 
     def test_track_id_zero_round_trips(self, tmp_path):
         square = Polygon(np.array([[2, 2], [6, 2], [6, 6], [2, 6]], float))
@@ -165,7 +166,7 @@ class TestResultFiles:
         pio.write_instance_records({0: [(0, 1, square, 1.0), (5, 2, other, 2.0)]},
                                    16, 16, path)
         frames, classes, _ = pio.parse_mask_records(path)
-        label, ids = frames[0]
+        label, ids = label_image(frames[0]), frames[0].ids
         assert ids == [0, 5] and classes == {0: 1, 5: 2}
         assert np.count_nonzero(label == 1) == 16
         assert np.count_nonzero(label == 2) == 64 - 4  # the nearer square hides 4
@@ -181,6 +182,41 @@ class TestResultFiles:
         with pytest.raises(ParseError, match=r"r\.txt:3: .*overlaps"):
             pio.parse_mask_records(str(path))
 
+    def test_overlap_names_the_first_line_in_file_order(self, tmp_path):
+        big = np.zeros((8, 8), bool)
+        big[:, 1:7] = True
+        late = np.zeros((8, 8), bool)
+        late[5:7, 5] = True   # column 5: later in column-major order
+        early = np.zeros((8, 8), bool)
+        early[1:3, 2] = True  # column 2: earlier, but on a later line
+        path = tmp_path / "r.txt"
+        path.write_text(f"0 1 0 8 8 {encode_rle(big)}\n0 2 0 8 8 {encode_rle(late)}\n"
+                        f"0 3 0 8 8 {encode_rle(early)}\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: .*overlaps"):
+            pio.parse_mask_records(str(path))
+
+    def test_earliest_overlap_across_frames(self, tmp_path):
+        a = np.zeros((8, 8), bool)
+        a[2:4, 2:4] = True
+        path = tmp_path / "r.txt"
+        line = f"0 8 8 {encode_rle(a)}"
+        path.write_text(f"5 1 {line}\n3 1 {line}\n3 2 {line}\n5 2 {line}\n")
+        with pytest.raises(ParseError, match=r"r\.txt:3: .*overlaps"):
+            pio.parse_mask_records(str(path))
+
+    def test_overlap_reported_before_a_later_malformed_line(self, tmp_path):
+        a = np.zeros((8, 8), bool)
+        a[2:4, 2:4] = True
+        path = tmp_path / "r.txt"
+        path.write_text(f"0 1 0 8 8 {encode_rle(a)}\n0 2 0 8 8 {encode_rle(a)}\n"
+                        f"1 1 0 8 8 bad!\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: .*overlaps"):
+            pio.parse_mask_records(str(path))
+        path.write_text(f"0 1 0 8 8 {encode_rle(a)}\n1 1 0 8 8 bad!\n"
+                        f"0 2 0 8 8 {encode_rle(a)}\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: invalid run-length"):
+            pio.parse_mask_records(str(path))
+
     def test_records_in_any_id_order(self, tmp_path):
         a = np.zeros((8, 8), bool)
         a[1:3, 1:3] = True
@@ -189,7 +225,7 @@ class TestResultFiles:
         path = tmp_path / "r.txt"
         path.write_text(f"0 9 0 8 8 {encode_rle(b)}\n0 4 0 8 8 {encode_rle(a)}\n")
         frames, _, _ = pio.parse_mask_records(str(path))
-        label, ids = frames[0]
+        label, ids = label_image(frames[0]), frames[0].ids
         assert ids == [4, 9]
         assert ((label == 1) == a).all() and ((label == 2) == b).all()
 
@@ -197,6 +233,12 @@ class TestResultFiles:
         path = tmp_path / "r.txt"
         path.write_text("0 1 0 4 4 ?1\n0 1 0 4 4 ?1\n")
         with pytest.raises(ParseError, match="duplicate"):
+            pio.parse_mask_records(str(path))
+
+    def test_dimensions_beyond_pixel_indices_rejected(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("0 1 0 4000000000 4000000000 0\n")
+        with pytest.raises(ParseError, match=r":1: dimensions .* too large"):
             pio.parse_mask_records(str(path))
 
     def test_dimension_change_rejected(self, tmp_path):

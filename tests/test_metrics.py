@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymot.errors import InvalidInputError
 from polymot.geometry import Polygon, rasterize
-from polymot.metrics import (MetricsReport, evaluate, evaluate_polygons,
-                             flatten_frame, match_frame)
+from polymot.metrics import (Frame, MetricsReport, evaluate, evaluate_polygons,
+                             flatten_frame, match_frame, run_pixels)
 
-from oracles import count_tracking_events
+from polymot.rle import decode_runs, encode_runs
+
+from oracles import count_tracking_events, rasterize_by_ray_cast, reference_rle_string
 
 
 def rect(x0, y0, x1, y1):
@@ -18,18 +22,42 @@ def rect_mask(x0, y0, x1, y1, w=32, h=32):
 
 
 def label_frame(masks, shape=(32, 32)):
-    """Compose an id -> disjoint mask dict into a (label image, ids) frame."""
+    """Compose an id -> disjoint mask dict into a run frame."""
     ids = sorted(masks)
     label = np.zeros(shape, np.int32)
     for k, iid in enumerate(ids, start=1):
         label[masks[iid]] = k
-    return label, ids
+    return Frame.from_label(label, ids)
+
+
+def label_image(frame):
+    """Paint a run frame into its label image (0 = background, k = ids[k - 1])."""
+    flat = np.zeros(frame.shape[0] * frame.shape[1], np.int32)
+    flat[run_pixels(frame.starts, frame.stops)] = np.repeat(
+        frame.labels, frame.stops - frame.starts)
+    return flat.reshape(frame.shape, order="F")
 
 
 def instance_masks(frame):
-    """The id -> mask dict of a (label image, ids) frame."""
-    label, ids = frame
-    return {iid: label == k for k, iid in enumerate(ids, start=1)}
+    """The id -> mask dict of a run frame."""
+    label = label_image(frame)
+    return {iid: label == k for k, iid in enumerate(frame.ids, start=1)}
+
+
+def assert_same_frame(got, want):
+    assert got.shape == want.shape and got.ids == want.ids
+    for field in ("starts", "stops", "labels"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def assert_valid_runs(frame):
+    """Runs sorted, disjoint, non-empty and maximal per label; ids ascend."""
+    starts, stops, labels = frame.starts, frame.stops, frame.labels
+    assert (stops > starts).all()
+    assert (starts[1:] >= stops[:-1]).all()
+    assert not ((starts[1:] == stops[:-1]) & (labels[1:] == labels[:-1])).any()
+    assert set(labels.tolist()) == set(range(1, len(frame.ids) + 1))
+    assert frame.ids == sorted(set(frame.ids))
 
 
 class TestFlatten:
@@ -41,11 +69,11 @@ class TestFlatten:
         assert masks[1].sum() == 36 and masks[2].sum() == 64
 
     def test_full_overlap_near_hides_far(self):
-        label, ids = flatten_frame([(1, rect(4, 4, 12, 12), 1.0),   # nearer
-                                    (2, rect(4, 4, 12, 12), 9.0)],  # farther
-                                   32, 32)
-        assert ids == [1]  # the hidden instance has no visible pixels
-        assert set(np.unique(label)) == {0, 1}
+        frame = flatten_frame([(1, rect(4, 4, 12, 12), 1.0),   # nearer
+                               (2, rect(4, 4, 12, 12), 9.0)],  # farther
+                              32, 32)
+        assert frame.ids == [1]  # the hidden instance has no visible pixels
+        assert set(np.unique(label_image(frame))) == {0, 1}
 
     def test_partial_overlap_subtracts_near_from_far(self):
         near = (1, rect(8, 4, 16, 12), 1.0)
@@ -62,8 +90,9 @@ class TestFlatten:
         for i in range(6):
             x, y = rng.uniform(2, 20, 2)
             tris.append((i + 1, rect(x, y, x + 8, y + 8), float(rng.uniform(0, 9))))
-        label, ids = flatten_frame(tris, 32, 32)
-        assert ids == sorted(ids)
+        frame = flatten_frame(tris, 32, 32)
+        assert_valid_runs(frame)
+        label, ids = label_image(frame), frame.ids
         # every label is an id with visible pixels, and none is left over
         assert set(np.unique(label)) == set(range(len(ids) + 1))
         # the same frame painted mask by mask, farthest first
@@ -73,16 +102,23 @@ class TestFlatten:
         assert (np.array([0, *ids])[label] == expected).all()
 
     def test_id_zero_does_not_flood_the_frame(self):
-        label, ids = flatten_frame([(0, rect(0, 0, 4, 4), 1.0)], 16, 16)
-        assert ids == [0]
+        frame = flatten_frame([(0, rect(0, 0, 4, 4), 1.0)], 16, 16)
+        label = label_image(frame)
+        assert frame.ids == [0]
         assert np.count_nonzero(label == 1) == 16
         assert np.count_nonzero(label) == 16
 
     def test_negative_ids_ascend(self):
-        label, ids = flatten_frame([(3, rect(0, 0, 4, 4), 1.0),
-                                    (-2, rect(8, 8, 12, 12), 1.0)], 16, 16)
-        assert ids == [-2, 3]
+        frame = flatten_frame([(3, rect(0, 0, 4, 4), 1.0),
+                               (-2, rect(8, 8, 12, 12), 1.0)], 16, 16)
+        label = label_image(frame)
+        assert frame.ids == [-2, 3]
         assert np.count_nonzero(label == 1) == np.count_nonzero(label == 2) == 16
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(InvalidInputError, match="duplicate id 7"):
+            flatten_frame([(7, rect(0, 0, 4, 4), 1.0), (7, rect(8, 8, 12, 12), 2.0)],
+                          16, 16)
 
     def test_missing_depth_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -213,6 +249,95 @@ class TestReportArithmetic:
         r = MetricsReport.from_counts(tp=0, fp=0, fn=0, idsw=0, soft_tp=0.0)
         assert r.recall == 0.0 and r.precision == 0.0 and r.motsp == 0.0
         assert r.motsa == 0.0 and r.smotsa == 0.0
+
+
+def oracle_masks(rects, h, w):
+    """id -> visible mask of (id, box, depth) rectangles, painted farthest
+    first (ties by id) with the brute-force rasterizer."""
+    owner = np.full((h, w), -1)
+    for iid, box, _ in sorted(rects, key=lambda r: (-r[2], r[0])):
+        owner[rasterize_by_ray_cast(rect(*box).vertices, w, h)] = iid
+    return {iid: owner == iid for iid, _, _ in rects if (owner == iid).any()}
+
+
+def check_against_oracles(h, w, sequence):
+    """Flatten each (gt rects, hyp rects) frame of a sequence to runs and
+    check the runs, their strings and the scores against the oracles."""
+    frames = {"gt": [], "hyp": []}
+    masks = {"gt": [], "hyp": []}
+    for gt_rects, hyp_rects in sequence:
+        for side, rects in (("gt", gt_rects), ("hyp", hyp_rects)):
+            frame = flatten_frame([(iid, rect(*box), depth) for iid, box, depth in rects],
+                                  w, h)
+            want = oracle_masks(rects, h, w)
+            assert frame.ids == sorted(want)
+            assert_valid_runs(frame)
+            runs = frame.instance_runs()
+            for iid, (starts, stops) in zip(frame.ids, runs):
+                string = encode_runs(starts, stops, h * w)
+                assert string == reference_rle_string(want[iid])
+                back = decode_runs(string, h * w)
+                assert np.array_equal(back[0], starts) and np.array_equal(back[1], stops)
+            # the frame a reader rebuilds from the instances' runs, ids in any order
+            again = Frame.from_instance_runs((h, w), frame.ids[::-1], runs[::-1])
+            assert again.disjoint()
+            assert_same_frame(again, frame)
+            frames[side].append(frame)
+            masks[side].append(want)
+    report = evaluate(frames["gt"], frames["hyp"])
+    expected = count_tracking_events(masks["gt"], masks["hyp"])
+    assert (report.tp, report.fp, report.fn, report.idsw) == (
+        expected["tp"], expected["fp"], expected["fn"], expected["idsw"])
+    assert report.soft_tp == pytest.approx(expected["soft_tp"], abs=1e-12)
+
+
+@st.composite
+def rect_sets(draw, h, w, first_id):
+    """Up to four axis-aligned rectangles on pixel edges, depths with ties."""
+    rects = []
+    for iid in range(first_id, first_id + draw(st.integers(0, 4))):
+        x0 = draw(st.integers(0, w - 1))
+        y0 = draw(st.integers(0, h - 1))
+        box = (x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h)))
+        rects.append((iid, box, float(draw(st.integers(0, 3)))))
+    return rects
+
+
+class TestRunFramesAgainstOracles:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_frames(self, data):
+        h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        n_frames = data.draw(st.integers(1, 3))
+        check_against_oracles(h, w, [(data.draw(rect_sets(h, w, 1)),
+                                      data.draw(rect_sets(h, w, 101)))
+                                     for _ in range(n_frames)])
+
+    @pytest.mark.parametrize("h,w,sequence", [
+        # whole columns: a run wraps from one column's bottom to the next's top
+        (4, 5, [([(1, (1, 0, 3, 4), 1.0), (2, (3, 0, 4, 2), 1.0)],
+                 [(7, (1, 0, 3, 4), 1.0)])]),
+        # one instance owns pixel 0 and the last pixel, split by a nearer one
+        (4, 5, [([(1, (0, 0, 5, 4), 5.0), (2, (1, 1, 3, 3), 1.0)],
+                 [(7, (0, 0, 5, 4), 1.0)])]),
+        # hidden instances: wholly behind a nearer one, on both sides
+        (6, 6, [([(1, (0, 0, 4, 4), 1.0), (2, (1, 1, 3, 3), 2.0)],
+                 [(8, (1, 1, 3, 3), 3.0), (7, (0, 0, 4, 4), 3.0)])]),
+        # empty frames, alone and between full ones
+        (3, 3, [([], [])]),
+        (3, 3, [([(1, (0, 0, 2, 2), 1.0)], []), ([], []),
+                ([(1, (0, 0, 2, 2), 1.0)], [(5, (0, 0, 2, 3), 1.0)])]),
+        # 1 x N and N x 1 frames, with an identity switch
+        (1, 7, [([(1, (0, 0, 3, 1), 1.0), (2, (4, 0, 7, 1), 1.0)],
+                 [(5, (0, 0, 3, 1), 1.0), (6, (4, 0, 7, 1), 1.0)]),
+                ([(1, (0, 0, 3, 1), 1.0), (2, (4, 0, 7, 1), 1.0)],
+                 [(6, (0, 0, 3, 1), 1.0), (5, (4, 0, 7, 1), 1.0)])]),
+        (7, 1, [([(1, (0, 0, 1, 3), 1.0), (2, (0, 3, 1, 7), 2.0)],
+                 [(5, (0, 1, 1, 7), 1.0)])]),
+    ], ids=["wrapping-columns", "pixel-0-and-last", "hidden", "empty",
+            "empty-between", "1xN", "Nx1"])
+    def test_named_cases(self, h, w, sequence):
+        check_against_oracles(h, w, sequence)
 
 
 def test_evaluate_polygons_roundtrip():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis.extra import numpy as hnp
 
 from polymot.errors import InvalidInputError, ParseError
-from polymot.rle import decode_rle, encode_rle
+from polymot.rle import decode_rle, decode_runs, encode_rle
 
 from oracles import reference_rle_string
 
@@ -107,7 +107,23 @@ def test_negative_delta_round_trip():
     assert (decode_rle(encode_rle(mask), 10, 3) == mask).all()
 
 
+def test_zero_length_counts_decode_to_maximal_runs():
+    # 0 background, 2 set, 0 background, 3 set, 1 background: one run of 5;
+    # then 1 background, 0 set, 2 background, 2 set, 0 background, 1 set
+    for s, want in (("02011", ([0], [5])), ("1022NO", ([3], [6]))):
+        starts, stops = decode_runs(s, 6)
+        assert starts.tolist() == want[0] and stops.tolist() == want[1]
+        mask = np.zeros(6, bool)
+        mask[want[0][0]:want[1][0]] = True
+        assert encode_rle(mask.reshape(6, 1)) == reference_rle_string(mask.reshape(6, 1))
+
+
 class TestDecodeErrors:
+    def test_negative_run(self):
+        # counts 1, 2, 1, -1: the fourth is stored as its delta -3 from the 2
+        with pytest.raises(ParseError, match="negative"):
+            decode_rle("121M", 1, 3)
+
     def test_pixel_count_mismatch(self):
         with pytest.raises(ParseError):
             decode_rle("6", 4, 4)
