@@ -3,7 +3,7 @@
 Submodules:
   geometry   polygon primitives, rasterization, mask IoU, polygonization
   heatmap    elliptical-Gaussian center heatmaps and the track prior map
-  ukf        unscented Kalman filtering over kinematic object state
+  ukf        closed-form Kalman filtering over kinematic object state
   tracker    greedy center association and the track lifecycle
   losses     reference training objectives with analytic gradients
   simulator  seeded synthetic scenes and the detector noise model
@@ -24,6 +24,6 @@ from .rle import decode_rle, encode_rle
 from .simulator import NoiseParams, Scenario, build_scenario, generate, perturb
 from .tracker import (Detection, Track, TrackerConfig, TrackState, Tracker,
                       associate, run_sequence)
-from .ukf import FilterState, UkfParams, birth, predict, sigma_points, update
+from .ukf import FilterState, UkfParams, birth, predict, update
 
 __version__ = "0.1.0"

@@ -82,7 +82,8 @@ def area(p: Polygon) -> float:
 def polygon_areas(rings: np.ndarray) -> np.ndarray:
     """Shoelace areas for a batch of rings, shape (m, n, 2) -> (m,)."""
     x, y = rings[..., 0], rings[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    nxt = np.concatenate((rings[..., 1:, :], rings[..., :1, :]), axis=-2)
+    xn, yn = nxt[..., 0], nxt[..., 1]
     return np.abs(np.sum(x * yn - xn * y, axis=-1)) / 2.0
 
 

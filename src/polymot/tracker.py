@@ -73,7 +73,9 @@ HistoryEntry = tuple[int, Union[Detection, Point2]]
 @dataclass
 class Track:
     """Identity-carrying object state; history holds the matched detection
-    per active frame and the held/predicted center per frozen frame."""
+    per active frame and the held/predicted center per frozen frame.
+    filter_mean (2, 3) and filter_cov (3, 3) are the per-axis belief of
+    ``ukf``'s batched kernels; ``filter`` is its six-dimensional view."""
 
     id: int
     class_id: int
@@ -88,7 +90,7 @@ class Track:
 
     @property
     def filter(self) -> ukf.FilterState:
-        return ukf.FilterState(self.filter_mean, self.filter_cov)
+        return ukf.FilterState.from_axes(self.filter_mean, self.filter_cov)
 
     @property
     def live(self) -> bool:
@@ -197,8 +199,8 @@ class Tracker:
         self.finished: list[Track] = []    # terminated
         self._next_id = 1
         self._last_frame: Optional[int] = None
-        self._means = np.empty((8, ukf.STATE_DIM))
-        self._covs = np.empty((8, ukf.STATE_DIM, ukf.STATE_DIM))
+        self._means = np.empty((8, 2, 3))
+        self._covs = np.empty((8, 3, 3))
 
     def _reserve(self, n: int) -> None:
         cap = self._means.shape[0]
@@ -206,8 +208,8 @@ class Tracker:
             return
         while cap < n:
             cap *= 2
-        means = np.empty((cap, ukf.STATE_DIM))
-        covs = np.empty((cap, ukf.STATE_DIM, ukf.STATE_DIM))
+        means = np.empty((cap, 2, 3))
+        covs = np.empty((cap, 3, 3))
         k = len(self.tracks)
         means[:k] = self._means[:k]
         covs[:k] = self._covs[:k]
@@ -274,8 +276,8 @@ class Tracker:
                 any_terminated = True
                 continue
             if cfg.use_ukf:
-                row = self._means[index_of[tid]]
-                t.ref_center = Point2(float(row[0]), float(row[3]))
+                px, py = self._means[index_of[tid], :, 0]
+                t.ref_center = Point2(float(px), float(py))
             t.history.append((frame, t.ref_center))
 
         if assoc.unmatched_detections:

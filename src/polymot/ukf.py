@@ -1,14 +1,22 @@
-"""Unscented Kalman filter over per-axis constant-acceleration kinematics.
+"""Closed-form Kalman filter over per-axis constant-acceleration kinematics.
 
 State vector: [px, vx, ax, py, vy, ay] (pixels, px/frame, px/frame^2).
 The measurement is the raw position (px, py).  The dynamics are linear, so
-the unscented transform is exact here up to floating point; a plain linear
-Kalman filter with the same noise model must agree, which the test suite
-exploits as an oracle.
+the Kalman filter is exact; a plain six-dimensional linear Kalman filter
+with the same noise model must agree, which the test suite exploits as an
+oracle.
 
-All kernels operate on stacked states (leading batch axis) so a tracker can
-advance every live track in a handful of numpy calls; ``birth``/``predict``/
-``update``/``sigma_points`` are the single-state views of the same math.
+The x and y axes share the transition, the process noise and the
+measurement noise, and are always measured together, so their covariance
+blocks start equal, stay equal and never couple.  A belief is therefore
+stored as a mean per axis, shape (2, 3), and one shared (3, 3) covariance,
+and the update's innovation variance is the scalar P[0, 0] + r_pos: no
+Cholesky factor and no solve.
+
+All kernels operate on stacked beliefs (means (n, 2, 3), covariances
+(n, 3, 3)) so a tracker can advance every live track in a handful of numpy
+calls; ``birth``/``predict``/``update`` are the single-state views of the
+same math on the six-dimensional ``FilterState``.
 """
 
 from __future__ import annotations
@@ -21,30 +29,23 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 from .geometry import Point2
 
 STATE_DIM = 6
-N_SIGMA = 2 * STATE_DIM + 1
 
 
 @dataclass(frozen=True)
 class UkfParams:
-    """Unscented-transform scaling and noise intensities.
+    """Noise intensities of the filter.
 
-    alpha/beta/kappa are the standard Merwe scaling parameters; q_accel is
-    the process-noise intensity in (px/frame^2)^2, r_pos the measurement
-    variance in px^2.  p_vel0/p_acc0 seed the velocity and acceleration
-    variances of a newborn filter.
+    q_accel is the process-noise intensity in (px/frame^2)^2, r_pos the
+    measurement variance in px^2.  p_vel0/p_acc0 seed the velocity and
+    acceleration variances of a newborn filter.
     """
 
-    alpha: float = 0.001
-    beta: float = 2.0
-    kappa: float = 0.0
     q_accel: float = 1.0
     r_pos: float = 1.0
     p_vel0: float = 100.0
     p_acc0: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidInputError("alpha must be in (0, 1]")
         if self.q_accel <= 0 or self.r_pos <= 0:
             raise InvalidInputError("noise intensities must be positive")
 
@@ -69,84 +70,33 @@ class FilterState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def from_axes(cls, mean: np.ndarray, cov: np.ndarray) -> "FilterState":
+        """The six-dimensional view of a per-axis mean (2, 3) and shared cov (3, 3)."""
+        return cls(np.reshape(mean, STATE_DIM), np.kron(np.eye(2), cov))
+
     @property
     def position(self) -> Point2:
         return Point2(float(self.mean[0]), float(self.mean[3]))
 
 
-def transition_matrix(dt: float) -> np.ndarray:
-    """Per-axis Newton step [p + v dt + a dt^2/2, v + a dt, a], block-diagonal."""
-    block = np.array([[1.0, dt, 0.5 * dt * dt],
-                      [0.0, 1.0, dt],
-                      [0.0, 0.0, 1.0]])
-    out = np.zeros((STATE_DIM, STATE_DIM))
-    out[:3, :3] = block
-    out[3:, 3:] = block
-    return out
-
-
-def process_noise(q_accel: float, dt: float) -> np.ndarray:
-    """Q = q * g g^T per axis with g = (dt^2/2, dt, 1)."""
-    g = np.array([0.5 * dt * dt, dt, 1.0])
-    block = q_accel * np.outer(g, g)
-    out = np.zeros((STATE_DIM, STATE_DIM))
-    out[:3, :3] = block
-    out[3:, 3:] = block
-    return out
-
-
-def merwe_weights(p: UkfParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda, mean weights, covariance weights) for the scaled transform."""
-    n = STATE_DIM
-    lam = p.alpha ** 2 * (n + p.kappa) - n
-    wm = np.full(N_SIGMA, 1.0 / (2.0 * (n + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (n + lam)
-    wc[0] = wm[0] + (1.0 - p.alpha ** 2 + p.beta)
-    return lam, wm, wc
+def _axes(s: FilterState) -> tuple[np.ndarray, np.ndarray]:
+    """A state as a one-row batch: means (1, 2, 3) and covariances (1, 3, 3)."""
+    block = s.cov[:3, :3]
+    if np.abs(s.cov - np.kron(np.eye(2), block)).max() > 1e-9:
+        raise InvalidInputError(
+            "covariance must be two equal, decoupled 3x3 blocks within 1e-9")
+    return s.mean.reshape(1, 2, 3), block[None]
 
 
 def batch_birth(centers: np.ndarray, p: UkfParams) -> tuple[np.ndarray, np.ndarray]:
     """Newborn beliefs for measured centers (n, 2): zero motion, diagonal cov."""
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = centers.shape[0]
-    means = np.zeros((n, STATE_DIM))
-    means[:, 0] = centers[:, 0]
-    means[:, 3] = centers[:, 1]
-    diag = np.array([p.r_pos, p.p_vel0, p.p_acc0, p.r_pos, p.p_vel0, p.p_acc0])
-    covs = np.broadcast_to(np.diag(diag), (n, STATE_DIM, STATE_DIM)).copy()
+    means = np.zeros((n, 2, 3))
+    means[:, :, 0] = centers
+    covs = np.broadcast_to(np.diag([p.r_pos, p.p_vel0, p.p_acc0]), (n, 3, 3)).copy()
     return means, covs
-
-
-def batch_sigma_points(means: np.ndarray, covs: np.ndarray,
-                       p: UkfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merwe scaled sigma points for stacked states: (n, 13, 6) plus weights."""
-    lam, wm, wc = merwe_weights(p)
-    try:
-        scaled = np.linalg.cholesky((STATE_DIM + lam) * covs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"covariance not positive-definite: {exc}") from exc
-    pts = np.empty((means.shape[0], N_SIGMA, STATE_DIM))
-    pts[:, 0] = means
-    cols = np.swapaxes(scaled, -1, -2)  # (n, 6 columns, 6)
-    pts[:, 1:STATE_DIM + 1] = means[:, None, :] + cols
-    pts[:, STATE_DIM + 1:] = means[:, None, :] - cols
-    return pts, wm, wc
-
-
-def _recombine(pts: np.ndarray, wm: np.ndarray,
-               wc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unscented mean and covariance of propagated points (n, 13, d).
-
-    The mean is anchored at the center point: since the weights sum to one,
-    mean = pts[0] + sum w_i (pts_i - pts[0]), which avoids the catastrophic
-    cancellation of the direct weighted sum when alpha is small.
-    """
-    dev = pts - pts[:, :1]
-    mean = pts[:, 0] + np.matmul(wm[None, None, :], dev)[:, 0]
-    dev -= (mean - pts[:, 0])[:, None, :]  # now deviations from the new mean
-    cov = np.matmul(dev.transpose(0, 2, 1) * wc[None, None, :], dev)
-    return mean, cov
 
 
 def _symmetrize(covs: np.ndarray) -> np.ndarray:
@@ -155,14 +105,19 @@ def _symmetrize(covs: np.ndarray) -> np.ndarray:
 
 def batch_predict(means: np.ndarray, covs: np.ndarray, p: UkfParams,
                   dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate stacked beliefs one step of constant-acceleration dynamics."""
+    """Propagate stacked beliefs one step of constant-acceleration dynamics.
+
+    Per axis, the Newton step [p + v dt + a dt^2/2, v + a dt, a] and the
+    process noise Q = q g g^T with g = (dt^2/2, dt, 1).
+    """
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    pts, wm, wc = batch_sigma_points(means, covs, p)
-    moved = pts @ transition_matrix(dt).T
-    mean, cov = _recombine(moved, wm, wc)
-    cov += process_noise(p.q_accel, dt)
-    return mean, _symmetrize(cov)
+    f = np.array([[1.0, dt, 0.5 * dt * dt],
+                  [0.0, 1.0, dt],
+                  [0.0, 0.0, 1.0]])
+    g = np.array([0.5 * dt * dt, dt, 1.0])
+    covs = f @ covs @ f.T + p.q_accel * np.outer(g, g)
+    return means @ f.T, _symmetrize(covs)
 
 
 def batch_update(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
@@ -171,21 +126,13 @@ def batch_update(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
     zs = np.asarray(zs, dtype=np.float64).reshape(-1, 2)
     if not np.all(np.isfinite(zs)):
         raise InvalidInputError("measurements must be finite")
-    pts, wm, wc = batch_sigma_points(means, covs, p)
-    zpts = pts[:, :, 0::3]  # strided view of (px, py)
-    z_mean, s_cov = _recombine(zpts.copy(), wm, wc)
-    s_cov = s_cov + p.r_pos * np.eye(2)
-
-    dev_x = pts - means[:, None, :]
-    dev_z = zpts - z_mean[:, None, :]
-    cross = np.matmul(dev_x.transpose(0, 2, 1) * wc[None, None, :], dev_z)  # (n, 6, 2)
-    try:
-        gain = np.swapaxes(np.linalg.solve(s_cov, np.swapaxes(cross, -1, -2)), -1, -2)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"innovation covariance singular: {exc}") from exc
-    innov = zs - z_mean
-    new_means = means + np.matmul(gain, innov[:, :, None])[:, :, 0]
-    new_covs = covs - np.matmul(np.matmul(gain, s_cov), gain.transpose(0, 2, 1))
+    s = covs[:, 0, 0] + p.r_pos
+    if not np.all(s > 0):
+        raise NumericalDegeneracyError("innovation variance is not positive")
+    gain = covs[:, :, 0] / s[:, None]  # (n, 3), the same on both axes
+    innov = zs - means[:, :, 0]        # (n, 2)
+    new_means = means + innov[:, :, None] * gain[:, None, :]
+    new_covs = covs - gain[:, :, None] * covs[:, None, 0, :]
     return new_means, _symmetrize(new_covs)
 
 
@@ -194,21 +141,14 @@ def birth(center: Point2, p: UkfParams) -> FilterState:
     if not (np.isfinite(center[0]) and np.isfinite(center[1])):
         raise InvalidInputError("birth center must be finite")
     means, covs = batch_birth(np.array([center], dtype=np.float64), p)
-    return FilterState(means[0], covs[0])
-
-
-def sigma_points(s: FilterState, p: UkfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points (13, 6), mean weights, covariance weights) for one state."""
-    pts, wm, wc = batch_sigma_points(s.mean[None], s.cov[None], p)
-    return pts[0], wm, wc
+    return FilterState.from_axes(means[0], covs[0])
 
 
 def predict(s: FilterState, p: UkfParams, dt: float = 1.0) -> FilterState:
-    means, covs = batch_predict(s.mean[None], s.cov[None], p, dt)
-    return FilterState(means[0], covs[0])
+    means, covs = batch_predict(*_axes(s), p, dt)
+    return FilterState.from_axes(means[0], covs[0])
 
 
 def update(s: FilterState, z: Point2, p: UkfParams) -> FilterState:
-    means, covs = batch_update(s.mean[None], s.cov[None],
-                               np.array([z], dtype=np.float64), p)
-    return FilterState(means[0], covs[0])
+    means, covs = batch_update(*_axes(s), np.array([z], dtype=np.float64), p)
+    return FilterState.from_axes(means[0], covs[0])

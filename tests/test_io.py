@@ -311,9 +311,10 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[tracker]\nmaximum_age = 10\n")
-        with pytest.raises(InvalidInputError):
-            pio.load_config(str(path))
+        for text in ("[tracker]\nmaximum_age = 10\n", "[ukf]\nalpha = 0.5\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidInputError, match=text.split()[1]):
+                pio.load_config(str(path))
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):

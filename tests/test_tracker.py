@@ -12,6 +12,8 @@ from polymot.tracker import (Detection, Track, TrackerConfig, TrackState,
                              Tracker, associate, run_sequence)
 from polymot.ukf import UkfParams
 
+from oracles import LinearKalman
+
 
 def ring_at(cx, cy, half=8.0):
     return Polygon(np.array([[cx - half, cy - half], [cx + half, cy - half],
@@ -258,6 +260,27 @@ class TestRunSequence:
             assert len(ta.history) == len(tb.history)
             assert ta.ref_center == tb.ref_center
             assert np.array_equal(ta.filter_mean, tb.filter_mean)
+
+    def test_filters_match_linear_kalman_replayed_on_history(self):
+        # default noise drops and adds detections, so tracks are born on
+        # different frames, coast while frozen and some terminate
+        sc = build_scenario("random_walk", 5, 80, 320, 200, 13)
+        dets = perturb(sc, generate(sc), NoiseParams(), 14)
+        p = UkfParams(q_accel=0.3)
+        tracks = run_sequence(dets, TrackerConfig(max_age=6, ukf=p))
+        assert any(t.state is TrackState.TERMINATED for t in tracks)
+        assert any(isinstance(e, Point2) for t in tracks for _, e in t.history)
+        for t in tracks:
+            (_, first), *rest = t.history
+            kf = LinearKalman(*first.center, p.q_accel, p.r_pos, p.p_vel0, p.p_acc0)
+            for _, entry in rest:
+                kf.predict()
+                if isinstance(entry, Detection):
+                    kf.update(*entry.center)
+            if t.state is TrackState.TERMINATED:
+                kf.predict()  # the frame it aged out in predicted it once more
+            assert np.abs(t.filter.mean - kf.x).max() < 1e-9
+            assert np.abs(t.filter.cov - kf.P).max() < 1e-9
 
     def test_boundary_exit_new_id_with_ukf(self):
         sc = build_scenario("boundary_exit_enter", 2, 36, 288, 160, 0)

@@ -5,8 +5,8 @@ import pytest
 
 from polymot.errors import InvalidInputError, NumericalDegeneracyError
 from polymot.geometry import Point2
-from polymot.ukf import (FilterState, UkfParams, birth, predict, sigma_points,
-                         update)
+from polymot.ukf import (FilterState, UkfParams, batch_birth, batch_predict,
+                         batch_update, birth, predict, update)
 
 from oracles import LinearKalman
 
@@ -38,40 +38,61 @@ class TestBirth:
             birth(Point2(float("nan"), 0), UkfParams())
 
 
-class TestSigmaPoints:
-    def test_unscaled_identity(self):
-        p = UkfParams(alpha=1.0, kappa=0.0)
-        s = FilterState(np.zeros(6), np.eye(6))
-        pts, wm, wc = sigma_points(s, p)
-        assert pts.shape == (13, 6)
-        assert np.allclose(pts[0], 0)
-        expected = math.sqrt(6.0)
-        for k in range(6):
-            assert pts[1 + k][k] == pytest.approx(expected)
-            assert pts[7 + k][k] == pytest.approx(-expected)
+class TestStateBoundaries:
+    @pytest.mark.parametrize("cov", [
+        np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 4.0]),      # unequal blocks
+        np.eye(6) + 0.5 * np.eye(6, k=3) + 0.5 * np.eye(6, k=-3),  # x-y coupling
+        np.eye(6) + 0.1 * np.eye(6, k=4) + 0.1 * np.eye(6, k=-4),  # px-vy coupling
+    ])
+    def test_non_block_covariance_rejected(self, cov):
+        s = FilterState(np.zeros(6), cov)
+        with pytest.raises(InvalidInputError):
+            predict(s, UkfParams())
+        with pytest.raises(InvalidInputError):
+            update(s, Point2(0, 0), UkfParams())
 
-    def test_mean_weights_sum_to_one(self):
-        _, wm, _ = sigma_points(birth(Point2(0, 0), UkfParams()), UkfParams())
-        assert wm.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_round_trip_recovers_moments(self):
-        rng = np.random.default_rng(0)
-        p = UkfParams()
-        for _ in range(10):
-            mean = rng.uniform(-5, 5, 6)
-            a = rng.uniform(-1, 1, (6, 6))
-            cov = a @ a.T + 0.5 * np.eye(6)
-            pts, wm, wc = sigma_points(FilterState(mean, cov), p)
-            mean_rt = pts[0] + wm @ (pts - pts[0])
-            dev = pts - mean_rt
-            cov_rt = np.einsum("s,sa,sb->ab", wc, dev, dev)
-            assert np.abs(mean_rt - mean).max() < 1e-9
-            assert np.abs(cov_rt - cov).max() < 1e-9
-
-    def test_degenerate_covariance_raises(self):
-        bad = FilterState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
+    @pytest.mark.parametrize("p00", [-1.0, -3.0])
+    def test_non_positive_innovation_variance_raises(self, p00):
+        block = np.diag([p00, 1.0, 1.0])
+        s = FilterState(np.zeros(6), np.kron(np.eye(2), block))
         with pytest.raises(NumericalDegeneracyError):
-            sigma_points(bad, UkfParams())
+            update(s, Point2(0, 0), UkfParams(r_pos=1.0))
+
+
+def test_batched_rows_match_their_own_linear_kalman():
+    # rows born on different steps, each step updating a random subset
+    # through fancy indexing as Tracker.step does
+    p = UkfParams(q_accel=0.5, r_pos=2.0)
+    rng = np.random.default_rng(11)
+    means, covs = batch_birth(np.empty((0, 2)), p)
+    oracles, starts, vels = [], [], []
+    for step in range(60):
+        if oracles:
+            means, covs = batch_predict(means, covs, p)
+            for kf in oracles:
+                kf.predict()
+            rows = np.flatnonzero(rng.random(len(oracles)) < 0.6)
+            zs = np.array([starts[r] + vels[r] * step for r in rows]).reshape(-1, 2)
+            zs += rng.normal(0, 1.5, zs.shape)
+            new_means, new_covs = batch_update(means[rows], covs[rows], zs, p)
+            means[rows] = new_means
+            covs[rows] = new_covs
+            for r, (zx, zy) in zip(rows, zs):
+                oracles[r].update(zx, zy)
+        if step < 40:
+            centers = rng.uniform(0, 400, (int(rng.integers(0, 3)), 2))
+            born_means, born_covs = batch_birth(centers, p)
+            means = np.concatenate([means, born_means])
+            covs = np.concatenate([covs, born_covs])
+            for c in centers:
+                oracles.append(LinearKalman(*c, p.q_accel, p.r_pos, p.p_vel0, p.p_acc0))
+                vels.append(rng.uniform(-3, 3, 2))
+                starts.append(c - vels[-1] * step)
+        for r, kf in enumerate(oracles):
+            view = FilterState.from_axes(means[r], covs[r])
+            assert np.abs(view.mean - kf.x).max() < 1e-9
+            assert np.abs(view.cov - kf.P).max() < 1e-9
+    assert len(oracles) > 20
 
 
 class TestPredict:
@@ -175,7 +196,5 @@ def test_frozen_track_keeps_constant_velocity():
 
 
 def test_params_validation():
-    with pytest.raises(InvalidInputError):
-        UkfParams(alpha=0.0)
     with pytest.raises(InvalidInputError):
         UkfParams(q_accel=-1.0)
