@@ -63,7 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, default=32)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("render", help="draw one frame of a result file as SVG")
+    p = sub.add_parser(
+        "render", help="draw one frame of a result file as SVG",
+        description="Draw one frame of a result file as SVG.  The whole result "
+                    "file is parsed and validated first, so a malformed or "
+                    "overlapping record in any frame, not only in --frame, is an "
+                    "error (exit 1) naming its line.")
     p.add_argument("--results", required=True)
     p.add_argument("--frame", type=int, required=True)
     p.add_argument("--out", required=True)

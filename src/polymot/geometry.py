@@ -53,6 +53,23 @@ class Polygon:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "area", float(polygon_areas(v[None])[0]))
 
+    @classmethod
+    def stack(cls, rings: np.ndarray) -> list["Polygon"]:
+        """One Polygon per ring of an (m, n, 2) stack, each a view of it; the
+        rings are checked and their areas computed for the stack at once."""
+        rings = np.asarray(rings, dtype=np.float64)
+        if rings.ndim != 3 or rings.shape[2] != 2 or rings.shape[1] < 1:
+            raise InvalidInputError(f"polygon rings must be (m, n, 2), got {rings.shape}")
+        if not np.all(np.isfinite(rings)):
+            raise InvalidInputError("polygon vertices must be finite")
+        polys = []
+        for v, a in zip(rings, polygon_areas(rings).tolist()):
+            p = object.__new__(cls)
+            object.__setattr__(p, "vertices", v)
+            object.__setattr__(p, "area", a)
+            polys.append(p)
+        return polys
+
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
@@ -147,7 +164,8 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return np.count_nonzero(a & b) / union
 
 
-RAY_STEP = 0.5
+RAY_STEP = 0.5    # px between a ray's samples
+RAY_CHUNK = 4     # samples a still-marching ray takes per pass
 
 
 def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT,
@@ -162,23 +180,65 @@ def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT,
     Ray origins are spaced at equal arc-length intervals along the perimeter
     of the mask's tight bounding box, starting at the top-left corner and
     proceeding clockwise (in image coordinates, y down).  Each ray marches
-    from its origin toward the box center in 0.5 px steps and keeps the
-    first point whose containing pixel is set; a ray that never hits the
-    mask yields the box-center point.
+    from its origin toward the box center in 0.5 px steps, sample k at
+    ``origin + (min(k * RAY_STEP, L) / L) * (center - origin)`` for a ray
+    of length L, and keeps the first sample whose containing pixel is set;
+    a ray that never hits the mask yields the box-center point.
+
+    This is the one-window case of :func:`polygonize_windows`, which
+    marches in chunks of ``RAY_CHUNK`` samples and drops a ray once it hits
+    or once a chunk's last sample is clamped to L.  Every later sample of
+    that ray is the same clamped point, so the first hit, and the ring, are
+    exactly those of marching every ray to the end.
+    """
+    return Polygon(polygonize_windows([mask], [origin], n_vertices)[0])
+
+
+def polygonize_windows(windows, origins, n_vertices: int = DEFAULT_VERTEX_COUNT
+                       ) -> np.ndarray:
+    """The :func:`polygonize` rings of a stack of windows, shape (m, n, 2).
+
+    ``windows[i]`` is a boolean window whose top-left pixel is the frame
+    pixel ``origins[i]`` = (x0, y0) and which holds every set pixel of its
+    object.  The windows are read from one flat buffer with per-window
+    offsets, so mixed sizes cost no padding.  Working memory is a few
+    arrays the size of the stack's pixels plus a few of ``RAY_CHUNK``
+    samples per ray, so a caller with many objects feeds them in blocks
+    (``simulator.generate`` stacks ``GT_BLOCK`` windows at a time).
     """
     if n_vertices < 3:
         raise InvalidInputError("polygonize needs at least 3 vertices")
-    mask = np.asarray(mask, dtype=bool)
-    ys, xs = np.nonzero(mask)
-    if len(ys) == 0:
-        raise InvalidInputError("polygonize of an empty mask")
-    h, w = mask.shape
-    ox, oy = origin
+    masks = [np.asarray(w, dtype=bool) for w in windows]
+    m = len(masks)
+    if len(origins) != m:
+        raise InvalidInputError(f"{len(origins)} origins for {m} windows")
+    if m == 0:
+        return np.empty((0, n_vertices, 2))
+    if any(mk.ndim != 2 for mk in masks):
+        raise InvalidInputError("polygonize windows must be 2-D")
+    h, w = np.array([mk.shape for mk in masks], dtype=np.int64).T
+    ox, oy = np.asarray(origins, dtype=np.int64).reshape(m, 2).T
+    ends = np.cumsum(h * w)
+    offsets = ends - h * w
+    # a False sentinel past the last window answers every outside lookup
+    flat = np.concatenate([mk.ravel() for mk in masks] + [np.zeros(1, bool)])
+    outside = flat.size - 1
+
+    set_px = np.flatnonzero(flat)
+    first = np.searchsorted(set_px, offsets)
+    counts = np.searchsorted(set_px, ends) - first
+    if not counts.all():
+        raise InvalidInputError(
+            f"polygonize of an empty mask (window {int(np.argmin(counts))})")
+    win = np.repeat(np.arange(m), counts)
+    ys, xs = np.divmod(set_px - offsets[win], w[win])
     # Occupied cells span [x0, x1 + 1) x [y0, y1 + 1) in continuous coords.
-    bx0, by0 = float(xs.min() + ox), float(ys.min() + oy)
-    bx1, by1 = float(xs.max() + 1 + ox), float(ys.max() + 1 + oy)
+    bx0 = (np.minimum.reduceat(xs, first) + ox).astype(np.float64)[:, None]
+    by0 = (np.minimum.reduceat(ys, first) + oy).astype(np.float64)[:, None]
+    bx1 = (np.maximum.reduceat(xs, first) + 1 + ox).astype(np.float64)[:, None]
+    by1 = (np.maximum.reduceat(ys, first) + 1 + oy).astype(np.float64)[:, None]
     bw, bh = bx1 - bx0, by1 - by0
-    center = np.array([bx0 + bw / 2.0, by0 + bh / 2.0])
+    cx, cy = bx0 + bw / 2.0, by0 + bh / 2.0
 
     perimeter = 2.0 * (bw + bh)
     s = np.arange(n_vertices) * (perimeter / n_vertices)
@@ -187,26 +247,33 @@ def polygonize(mask: np.ndarray, n_vertices: int = DEFAULT_VERTEX_COUNT,
     x = np.where(top, bx0 + s, np.where(right, bx1, np.where(bottom, bx1 - (s - bw - bh), bx0)))
     y = np.where(top, by0, np.where(right, by0 + (s - bw),
                                     np.where(bottom, by1, by1 - (s - 2 * bw - bh))))
-    origins = np.stack([x, y], axis=1)
+    dx, dy = cx - x, cy - y
+    length = np.hypot(dx, dy)
+    # a miss keeps the box center
+    verts = np.repeat(np.concatenate((cx, cy), axis=1), n_vertices, axis=0)
 
-    deltas = center - origins
-    lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-    n_steps = int(math.ceil(lengths.max() / RAY_STEP)) + 1
-    t = np.arange(n_steps) * RAY_STEP
-    # Clamp each ray's samples at its own length: past-the-end samples sit
-    # exactly on the box center, matching the miss fallback.
-    tc = np.minimum(t[None, :], lengths[:, None])
-    safe_len = np.where(lengths > 0, lengths, 1.0)
-    pts = origins[:, None, :] + (tc / safe_len[:, None])[:, :, None] * deltas[:, None, :]
-
-    # samples are placed in frame coordinates; only the lookup is local
-    ix = np.floor(pts[..., 0]).astype(np.int64) - ox
-    iy = np.floor(pts[..., 1]).astype(np.int64) - oy
-    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    hit = np.zeros_like(inside)
-    hit[inside] = mask[iy[inside], ix[inside]]
-
-    first = np.argmax(hit, axis=1)
-    any_hit = hit.any(axis=1)
-    verts = np.where(any_hit[:, None], pts[np.arange(n_vertices), first], center[None, :])
-    return Polygon(verts)
+    # one row per ray still marching; per-window lookups repeated per ray
+    rays = np.arange(m * n_vertices)
+    x, y, dx, dy, length = (a.ravel() for a in (x, y, dx, dy, length))
+    safe_len = np.where(length > 0, length, 1.0)
+    ox, oy, w, h, base = (np.repeat(a, n_vertices) for a in (ox, oy, w, h, offsets))
+    step = np.arange(RAY_CHUNK)
+    while rays.size:
+        t = step * RAY_STEP
+        f = np.minimum(t, length[:, None]) / safe_len[:, None]
+        px = x[:, None] + f * dx[:, None]
+        py = y[:, None] + f * dy[:, None]
+        # samples are placed in frame coordinates; only the lookup is local
+        ix = np.floor(px).astype(np.int64) - ox[:, None]
+        iy = np.floor(py).astype(np.int64) - oy[:, None]
+        inside = (ix >= 0) & (ix < w[:, None]) & (iy >= 0) & (iy < h[:, None])
+        hit = flat[np.where(inside, base[:, None] + iy * w[:, None] + ix, outside)]
+        done = hit.any(axis=1)
+        k = np.argmax(hit[done], axis=1)
+        verts[rays[done]] = np.stack((px[done, k], py[done, k]), axis=1)
+        # past its length a ray's samples all repeat the clamped point
+        live = ~done & (t[-1] < length)
+        rays, x, y, dx, dy, length, safe_len, ox, oy, w, h, base = (
+            a[live] for a in (rays, x, y, dx, dy, length, safe_len, ox, oy, w, h, base))
+        step += RAY_CHUNK
+    return verts.reshape(m, n_vertices, 2)

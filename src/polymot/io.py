@@ -32,7 +32,7 @@ from .errors import InvalidInputError, ParseError
 from .geometry import Point2, Polygon
 from .metrics import Frame, MetricsReport, Runs, flatten_frame, run_pixels
 from .rle import decode_runs, encode_runs
-from .simulator import NoiseParams
+from .simulator import SCENARIO_KINDS, NoiseParams
 from .tracker import Detection, Track, TrackerConfig, emitted_instances
 from .ukf import UkfParams
 
@@ -313,6 +313,18 @@ def parse_report_kv(path: str) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
+class ImageConfig:
+    width: int = 256
+    height: int = 160
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidInputError(f"{name} must be at least 1 px, got {value}")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     kind: str = "linear"
     n_objects: int = 2
@@ -320,6 +332,18 @@ class ScenarioConfig:
     width: int = 256
     height: int = 160
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in SCENARIO_KINDS:
+            raise InvalidInputError(
+                f"kind must be one of {', '.join(SCENARIO_KINDS)}, got {self.kind!r}")
+        ImageConfig(self.width, self.height)
+        if self.n_objects < 1:
+            raise InvalidInputError(f"n_objects must be at least 1, got {self.n_objects}")
+        if self.n_frames < 2:
+            raise InvalidInputError(f"n_frames must be at least 2, got {self.n_frames}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -338,7 +362,7 @@ def _coerce(value: str, target_type):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise InvalidInputError(f"expected a boolean, got {value!r}")
+        raise ValueError(f"expected a boolean, got {value!r}")
     return target_type(value)
 
 
@@ -346,7 +370,9 @@ _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def _fill_dataclass(cls, section, instance):
-    """Override scalar dataclass fields from one config section; reject unknown keys."""
+    """Override scalar dataclass fields from one config section; reject
+    unknown keys, values that do not parse and values the class rejects,
+    naming the section and the key."""
     known = {}
     for f in fields(cls):
         tname = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
@@ -355,19 +381,24 @@ def _fill_dataclass(cls, section, instance):
     updates = {}
     for key, value in section.items():
         if key not in known:
-            raise InvalidInputError(f"unknown {cls.__name__} option {key!r}")
+            raise InvalidInputError(f"[{section.name}] unknown option {key!r}")
         try:
             updates[key] = _coerce(value, known[key])
         except ValueError as exc:
-            raise InvalidInputError(f"bad value for {key!r}: {exc}") from exc
-    return replace(instance, **updates)
+            raise InvalidInputError(f"[{section.name}] bad value for {key!r}: {exc}") from exc
+    try:
+        return replace(instance, **updates)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"[{section.name}] {exc}") from exc
 
 
 def load_config(path: Optional[str]) -> RunConfig:
     """Load the INI run configuration; missing file or sections use defaults.
 
     Sections: [tracker], [ukf], [noise], [scenario], [image].  The image
-    dimensions fall back to the scenario's when [image] is absent.
+    dimensions fall back to the scenario's when [image] is absent.  A key
+    that is unknown, does not parse or is out of range is an
+    InvalidInputError naming its section and key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if path is not None:
@@ -385,17 +416,11 @@ def load_config(path: Optional[str]) -> RunConfig:
     if parser.has_section("noise"):
         noise = _fill_dataclass(NoiseParams, parser["noise"], noise)
     scenario = None
+    image = ImageConfig()
     if parser.has_section("scenario"):
         scenario = _fill_dataclass(ScenarioConfig, parser["scenario"], ScenarioConfig())
-
-    width = scenario.width if scenario else 256
-    height = scenario.height if scenario else 160
+        image = ImageConfig(scenario.width, scenario.height)
     if parser.has_section("image"):
-        img = dict(parser["image"])
-        for key in img:
-            if key not in ("width", "height"):
-                raise InvalidInputError(f"unknown image option {key!r}")
-        width = int(img.get("width", width))
-        height = int(img.get("height", height))
+        image = _fill_dataclass(ImageConfig, parser["image"], image)
     return RunConfig(tracker=tracker, noise=noise, scenario=scenario,
-                     width=width, height=height)
+                     width=image.width, height=image.height)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon, centroid, polygonize
+from .geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon, polygonize_windows
 from .losses import offset_target
 from .tracker import Detection
 
@@ -117,10 +117,18 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("drop_prob", "fp_prob"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise InvalidInputError(f"{name} must be a probability")
+            value = getattr(self, name)
+            if not (0.0 <= value <= 1.0):
+                raise InvalidInputError(f"{name} must be a probability, got {value}")
+        for name in ("center_jitter_sigma", "offset_noise_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidInputError(f"{name} must be non-negative and finite, got {value}")
         if not (1 <= self.prev_frame_lookback <= 3):
-            raise InvalidInputError("prev_frame_lookback must be in 1..3")
+            raise InvalidInputError(
+                f"prev_frame_lookback must be in 1..3, got {self.prev_frame_lookback}")
+        if self.downsample < 1:
+            raise InvalidInputError(f"downsample must be at least 1, got {self.downsample}")
 
 
 @dataclass(frozen=True)
@@ -165,16 +173,22 @@ def _analytic_area(obj: ObjectSpec) -> float:
     return w * h if obj.shape == "rectangle" else math.pi * w * h / 4.0
 
 
+GT_BLOCK = 64  # object windows per polygonize_windows call; bounds simulate's memory
+
+
 def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
     """Ground truth per frame; objects below the visibility floor are absent.
 
     Depth encodes vertical position (lower in the image reads as nearer,
     i.e. a smaller depth value).  Centers are the polygon centroids, so the
-    detector invariant holds by construction.
+    detector invariant holds by construction.  Object windows are
+    polygonized ``GT_BLOCK`` at a time, in frame and object order.
     """
     frames: list[list[GroundTruthObject]] = []
+    block: list[tuple[list[GroundTruthObject], int, int, np.ndarray, tuple[int, int]]] = []
     for frame in range(sc.n_frames):
         entries: list[GroundTruthObject] = []
+        frames.append(entries)
         for oid, obj in enumerate(sc.objects, start=1):
             if not obj.present_at(frame, sc.n_frames):
                 continue
@@ -189,13 +203,24 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
                 continue
             if visible < sc.min_visibility * _analytic_area(obj):
                 continue
-            poly = polygonize(mask, sc.n_vertices, origin)
-            c = centroid(poly)
-            entries.append(GroundTruthObject(
-                id=oid, class_id=obj.class_id, center=c, polygon=poly,
-                depth=float(sc.height) - c.y))
-        frames.append(entries)
+            block.append((entries, oid, obj.class_id, mask, origin))
+            if len(block) == GT_BLOCK:
+                _append_ground_truth(block, sc)
+    _append_ground_truth(block, sc)
     return frames
+
+
+def _append_ground_truth(block, sc: Scenario) -> None:
+    """Polygonize a block of object windows, append each object to its
+    frame's entries, and empty the block."""
+    rings = polygonize_windows([b[3] for b in block], [b[4] for b in block], sc.n_vertices)
+    centers = rings.mean(axis=1).tolist()  # each ring's centroid
+    for (entries, oid, class_id, _, _), poly, (cx, cy) in zip(
+            block, Polygon.stack(rings), centers):
+        entries.append(GroundTruthObject(
+            id=oid, class_id=class_id, center=Point2(cx, cy), polygon=poly,
+            depth=float(sc.height) - cy))
+    block.clear()
 
 
 def _true_center_index(sc: Scenario) -> dict[int, dict[int, tuple[float, float]]]:
@@ -290,6 +315,8 @@ def build_scenario(kind: str, n_objects: int, n_frames: int, width: int,
         raise InvalidInputError(f"unknown scenario kind {kind!r}")
     if n_objects < 1:
         raise InvalidInputError("need at least one object")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     builder = {
         "linear": _build_linear,

@@ -107,9 +107,12 @@ class TrackerConfig:
 
     def __post_init__(self):
         if self.max_age < 1:
-            raise InvalidInputError("max_age must be at least 1")
-        if self.match_kappa <= 0:
-            raise InvalidInputError("match_kappa must be positive")
+            raise InvalidInputError(f"max_age must be at least 1, got {self.max_age}")
+        if not 0.0 < self.match_kappa < math.inf:
+            raise InvalidInputError(
+                f"match_kappa must be positive and finite, got {self.match_kappa}")
+        if not 0.0 <= self.score_min <= 1.0:
+            raise InvalidInputError(f"score_min must lie in [0, 1], got {self.score_min}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +163,12 @@ def associate(detections: Sequence[Detection], tracks: Sequence[Track],
     if not contested.any():
         # every gate-passing detection wants a different track, so greedy
         # order cannot change the outcome
-        matches = [(int(di), tracks[best[di]].id) for di in np.flatnonzero(ok)]
-        unmatched_dets = [int(di) for di in np.flatnonzero(~ok)]
+        picked = best[ok]
+        matches = [(di, tracks[ti].id)
+                   for di, ti in zip(np.flatnonzero(ok).tolist(), picked.tolist())]
+        unmatched_dets = np.flatnonzero(~ok).tolist()
         taken = np.zeros(n_trk, dtype=bool)
-        taken[best[ok]] = True
+        taken[picked] = True
     else:
         order = np.lexsort((np.arange(n_det), -scores))
         taken = np.zeros(n_trk, dtype=bool)

@@ -21,6 +21,7 @@ same math on the six-dimensional ``FilterState``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,14 @@ class UkfParams:
     p_acc0: float = 10.0
 
     def __post_init__(self):
-        if self.q_accel <= 0 or self.r_pos <= 0:
-            raise InvalidInputError("noise intensities must be positive")
+        for name in ("q_accel", "r_pos"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+        for name in ("p_vel0", "p_acc0"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidInputError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass(frozen=True)

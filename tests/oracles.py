@@ -33,6 +33,58 @@ def rasterize_by_ray_cast(vertices: np.ndarray, width: int, height: int) -> np.n
     return mask
 
 
+REFERENCE_RAY_STEP = 0.5
+
+
+def reference_polygonize(mask: np.ndarray, n_vertices: int,
+                         origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Full-length ray march: every ray samples every step up to the longest
+    ray of its mask, then keeps its first sample whose pixel is set.
+
+    Returns the (n_vertices, 2) ring; the fast path marches in chunks and
+    stops each ray early, and must give exactly these floats.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ys, xs = np.nonzero(mask)
+    h, w = mask.shape
+    ox, oy = origin
+    # Occupied cells span [x0, x1 + 1) x [y0, y1 + 1) in continuous coords.
+    bx0, by0 = float(xs.min() + ox), float(ys.min() + oy)
+    bx1, by1 = float(xs.max() + 1 + ox), float(ys.max() + 1 + oy)
+    bw, bh = bx1 - bx0, by1 - by0
+    center = np.array([bx0 + bw / 2.0, by0 + bh / 2.0])
+
+    perimeter = 2.0 * (bw + bh)
+    s = np.arange(n_vertices) * (perimeter / n_vertices)
+    # clockwise from the top-left corner: top, right, bottom, else left edge
+    top, right, bottom = s < bw, s < bw + bh, s < 2 * bw + bh
+    x = np.where(top, bx0 + s, np.where(right, bx1, np.where(bottom, bx1 - (s - bw - bh), bx0)))
+    y = np.where(top, by0, np.where(right, by0 + (s - bw),
+                                    np.where(bottom, by1, by1 - (s - 2 * bw - bh))))
+    origins = np.stack([x, y], axis=1)
+
+    deltas = center - origins
+    lengths = np.hypot(deltas[:, 0], deltas[:, 1])
+    n_steps = int(np.ceil(lengths.max() / REFERENCE_RAY_STEP)) + 1
+    t = np.arange(n_steps) * REFERENCE_RAY_STEP
+    # Clamp each ray's samples at its own length: past-the-end samples sit
+    # exactly on the box center, matching the miss fallback.
+    tc = np.minimum(t[None, :], lengths[:, None])
+    safe_len = np.where(lengths > 0, lengths, 1.0)
+    pts = origins[:, None, :] + (tc / safe_len[:, None])[:, :, None] * deltas[:, None, :]
+
+    # samples are placed in frame coordinates; only the lookup is local
+    ix = np.floor(pts[..., 0]).astype(np.int64) - ox
+    iy = np.floor(pts[..., 1]).astype(np.int64) - oy
+    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    hit = np.zeros_like(inside)
+    hit[inside] = mask[iy[inside], ix[inside]]
+
+    first = np.argmax(hit, axis=1)
+    any_hit = hit.any(axis=1)
+    return np.where(any_hit[:, None], pts[np.arange(n_vertices), first], center[None, :])
+
+
 class LinearKalman:
     """Plain linear Kalman filter over the same six-dimensional state."""
 

@@ -1,11 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polymot import io as pio
 from polymot.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO_CFG = """\
 [scenario]
@@ -156,6 +162,19 @@ def test_render_svg_structure(tmp_path):
     assert len(texts) == len(polygons)
 
 
+def test_render_validates_the_whole_file(tmp_path, capsys):
+    run_pipeline(tmp_path, SCENARIO_CFG)
+    results = tmp_path / "results_ukf.txt"
+    lines = results.read_text().splitlines()
+    lines.append("11 7 0 160 256")  # a record of another frame, one field short
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["render", "--results", str(results), "--frame", "5",
+                 "--out", str(tmp_path / "x.svg")]) == 1
+    assert f"{results}:{len(lines)}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_missing_frame_fails_validation(tmp_path):
     run_pipeline(tmp_path, SCENARIO_CFG)
     assert main(["render", "--results", str(tmp_path / "results_ukf.txt"),
@@ -202,3 +221,56 @@ def test_bad_config_validation_exit(tmp_path):
     dets.write_text("")
     assert main(["track", "--dets", str(dets), "--config", str(cfg),
                  "--out", str(tmp_path / "r.txt")]) == 1
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[tracker]\nbogus = 1\n", "[tracker] unknown option 'bogus'"),
+    ("[image]\nwidth = abc\n", "[image] bad value for 'width'"),
+    ("[scenario]\nwidth = 0\n", "[scenario] width"),
+    ("[tracker]\nmatch_kappa = nan\n", "[tracker] match_kappa"),
+    ("[ukf]\np_vel0 = -5\n", "[ukf] p_vel0"),
+    ("[noise]\ncenter_jitter_sigma = nan\n", "[noise] center_jitter_sigma"),
+])
+def test_bad_config_error_names_section_and_key(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    dets = tmp_path / "dets.txt"
+    dets.write_text("")
+    assert main(["track", "--dets", str(dets), "--config", str(cfg),
+                 "--out", str(tmp_path / "r.txt")]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_negative_seed_fails_validation(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SCENARIO_CFG)
+    assert main(["simulate", "--scenario", str(cfg), "--seed", "-1",
+                 "--out", str(tmp_path / "d.txt"), "--gt", str(tmp_path / "g.txt")]) == 1
+
+
+STAGES_WITHOUT_MASKED_ARRAYS = """\
+import sys
+from polymot.cli import main
+for argv in (
+    ["simulate", "--scenario", "run.cfg", "--out", "dets.txt", "--gt", "gt.txt"],
+    ["track", "--dets", "dets.txt", "--config", "run.cfg", "--out", "results.txt"],
+    ["evaluate", "--gt", "gt.txt", "--results", "results.txt", "--report", "report.txt"],
+    ["render", "--results", "results.txt", "--frame", "4", "--out", "frame.svg"],
+):
+    assert main(argv) == 0, argv
+sys.exit(3 if "numpy.ma" in sys.modules else 0)
+"""
+
+
+def test_cli_stages_do_not_import_numpy_ma(tmp_path):
+    # numpy's set routines (np.unique, np.isin, ...) import numpy.ma on first
+    # use, about 1.6 MB of resident memory for every stage process
+    (tmp_path / "run.cfg").write_text(
+        "[scenario]\nkind = random_walk\nn_objects = 3\nn_frames = 8\n"
+        "width = 64\nheight = 48\nseed = 2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", STAGES_WITHOUT_MASKED_ARRAYS],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

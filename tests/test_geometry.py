@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from polymot.errors import InvalidInputError
 from polymot.geometry import (Point2, Polygon, area, centroid, fill_polygon,
-                              mask_iou, polygonize, rasterize)
+                              mask_iou, polygonize, polygonize_windows, rasterize)
 
-from oracles import rasterize_by_ray_cast
+from oracles import rasterize_by_ray_cast, reference_polygonize
 
 
 def square(x0, y0, x1, y1):
@@ -48,6 +48,27 @@ def framed_masks(draw):
     if not mask.any():
         mask[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
     return mask
+
+
+@st.composite
+def framed_windows(draw):
+    """A window of a framed mask, with 0-3 px margins clipped to the frame
+    (so it may touch the frame border), moved to any origin."""
+    mask = draw(framed_masks())
+    ys, xs = np.nonzero(mask)
+    h, w = mask.shape
+    lo = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    hi = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    x0, y0 = max(0, xs.min() - lo[0]), max(0, ys.min() - lo[1])
+    x1, y1 = min(w, xs.max() + 1 + hi[0]), min(h, ys.max() + 1 + hi[1])
+    shift = draw(st.tuples(st.integers(0, 500), st.integers(0, 500)))
+    return mask[y0:y1, x0:x1], (int(x0) + shift[0], int(y0) + shift[1])
+
+
+@st.composite
+def single_pixel_windows(draw):
+    origin = draw(st.tuples(st.integers(0, 500), st.integers(0, 500)))
+    return np.ones((1, 1), bool), origin
 
 
 class TestCentroid:
@@ -102,6 +123,19 @@ class TestArea:
         p = star_polygon(rng, n=32)
         rolled = Polygon(np.roll(p.vertices, shift, axis=0) + [dx, dy])
         assert area(rolled) == pytest.approx(area(p), rel=1e-9, abs=1e-9)
+
+    def test_stack_matches_one_ring_at_a_time(self):
+        rings = np.random.default_rng(4).uniform(-50, 300, (20, 9, 2))
+        for ring, poly in zip(rings, Polygon.stack(rings)):
+            one = Polygon(ring)
+            assert np.array_equal(poly.vertices, one.vertices)
+            assert poly.area == one.area
+            assert centroid(poly) == centroid(one)
+        assert Polygon.stack(np.empty((0, 9, 2))) == []
+        with pytest.raises(InvalidInputError):
+            Polygon.stack(np.full((2, 3, 2), np.nan))
+        with pytest.raises(InvalidInputError):
+            Polygon.stack(rings[0])
 
 
 class TestRasterize:
@@ -302,6 +336,38 @@ class TestPolygonize:
         x1, y1 = min(w, xs.max() + 1 + margins[2]), min(h, ys.max() + 1 + margins[3])
         window = polygonize(mask[y0:y1, x0:x1], n, (int(x0), int(y0)))
         assert np.array_equal(window.vertices, polygonize(mask, n).vertices)
+        assert np.array_equal(window.vertices, reference_polygonize(mask, n))
+
+    @given(st.lists(st.one_of(framed_windows(), single_pixel_windows()), max_size=6),
+           st.sampled_from([3, 16, 32]))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_matches_reference(self, stack, n):
+        windows = [w for w, _ in stack]
+        origins = [o for _, o in stack]
+        rings = polygonize_windows(windows, origins, n)
+        assert rings.shape == (len(stack), n, 2)
+        for ring, window, origin in zip(rings, windows, origins):
+            assert np.array_equal(ring, reference_polygonize(window, n, origin))
+
+    def test_missed_rays_fall_back_to_center(self):
+        window = np.zeros((5, 5), bool)
+        window[0, 0] = window[4, 4] = True
+        ring = polygonize_windows([window], [(7, 3)], 16)[0]
+        assert np.array_equal(ring, reference_polygonize(window, 16, (7, 3)))
+        # the rays from the middle of each edge pass no set pixel
+        assert (ring == [9.5, 5.5]).all(axis=1).sum() >= 4
+
+    def test_stack_errors(self):
+        box = np.ones((3, 4), bool)
+        with pytest.raises(InvalidInputError, match="window 2"):
+            polygonize_windows([box, box, np.zeros((3, 3), bool), box], [(0, 0)] * 4, 8)
+        with pytest.raises(InvalidInputError, match="window 0"):
+            polygonize_windows([np.zeros((0, 4), bool)], [(0, 0)], 8)
+        with pytest.raises(InvalidInputError):
+            polygonize_windows([box], [(0, 0)], 2)
+        with pytest.raises(InvalidInputError):
+            polygonize_windows([box, box], [(0, 0)], 8)
+        assert polygonize_windows([], [], 16).shape == (0, 16, 2)
 
     def test_vertex_count_and_errors(self):
         mask = np.zeros((8, 8), bool)

@@ -316,6 +316,21 @@ class TestConfig:
             with pytest.raises(InvalidInputError, match=text.split()[1]):
                 pio.load_config(str(path))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("image", "width", "abc"),
+        ("scenario", "width", "0"),
+        ("tracker", "match_kappa", "nan"),
+        ("ukf", "q_accel", "nan"),
+        ("ukf", "p_vel0", "-5"),
+        ("noise", "center_jitter_sigma", "-1"),
+        ("noise", "center_jitter_sigma", "nan"),
+    ])
+    def test_bad_value_names_section_and_key(self, tmp_path, section, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(InvalidInputError, match=rf"\[{section}\].*{key}"):
+            pio.load_config(str(path))
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             pio.load_config(str(tmp_path / "nope.cfg"))

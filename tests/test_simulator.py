@@ -220,6 +220,10 @@ class TestPerturb:
             NoiseParams(drop_prob=1.2)
         with pytest.raises(InvalidInputError):
             NoiseParams(prev_frame_lookback=4)
+        for key in ("center_jitter_sigma", "offset_noise_sigma"):
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(InvalidInputError, match=key):
+                    NoiseParams(**{key: bad})
 
 
 def test_identity_noise_linear_tracking_is_perfect():

@@ -330,8 +330,12 @@ def test_noisy_long_sequence_keeps_lifecycle_invariants():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         TrackerConfig(max_age=0)
-    with pytest.raises(InvalidInputError):
-        TrackerConfig(match_kappa=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="match_kappa"):
+            TrackerConfig(match_kappa=bad)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(InvalidInputError, match="score_min"):
+            TrackerConfig(score_min=bad)
 
 
 def test_detection_validation():

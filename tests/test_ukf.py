@@ -198,3 +198,7 @@ def test_frozen_track_keeps_constant_velocity():
 def test_params_validation():
     with pytest.raises(InvalidInputError):
         UkfParams(q_accel=-1.0)
+    for key, bad in (("q_accel", math.nan), ("r_pos", math.inf), ("p_vel0", -5.0),
+                     ("p_acc0", math.nan)):
+        with pytest.raises(InvalidInputError, match=key):
+            UkfParams(**{key: bad})
