@@ -16,9 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,45 +103,75 @@ def polygon_areas(rings: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(x * yn - xn * y, axis=-1)) / 2.0
 
 
+def run_pixels(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Every index of the runs [starts[i], stops[i]), concatenated in order."""
+    lengths = stops - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def scanline_spans(rings: Sequence[np.ndarray], width: int, height: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Even-odd inside spans of a batch of rings on a (height, width) grid.
+
+    Pixel (i, j) of ring r is inside iff the number of r's edge crossings
+    strictly to the right of its center (i + 0.5, j + 0.5) along the +x ray
+    is odd.  Each edge is tested only on the rows of its own y-range; an
+    edge crosses row j iff ``(y1 > j + 0.5) != (y2 > j + 0.5)``, at column
+    ``clip(ceil(xs - 0.5), 0, width)`` of its crossing point xs.  A closed
+    ring crosses every row an even number of times, so the sorted crossings
+    of each (ring, row) pair up into spans.  Rings may differ in vertex
+    count; a ring of fewer than 3 vertices covers nothing.
+
+    Returns (ring, row, x0, x1): the non-empty spans [x0, x1) of every ring
+    inside the grid, sorted by ring, row and x0.
+    """
+    rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for r in rings]
+    n = np.array([len(r) for r in rings], dtype=np.intp)
+    used = np.flatnonzero(n >= 3)
+    v = np.concatenate([rings[k] for k in used] + [np.empty((0, 2))])
+    ring = np.repeat(used, n[used])
+    # each vertex's edge runs to the next vertex of its ring
+    ends = np.cumsum(n[used])
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - n[used]
+    x1, y1 = v[:, 0], v[:, 1]
+    x2, y2 = x1[nxt], y1[nxt]
+    lo = np.clip(np.floor(np.minimum(y1, y2) - 0.5), 0, height).astype(np.intp)
+    hi = np.clip(np.ceil(np.maximum(y1, y2) + 0.5), 0, height).astype(np.intp)
+    edges = np.repeat(np.arange(len(v)), hi - lo)
+    rows = run_pixels(lo, hi)
+    py = rows + 0.5
+    hit = (y1[edges] > py) != (y2[edges] > py)
+    edges, rows, py = edges[hit], rows[hit], py[hit]
+    ey1, ex1 = y1[edges], x1[edges]
+    t = (py - ey1) / (y2[edges] - ey1)
+    xs = ex1 + t * (x2[edges] - ex1)
+    # centers with xs <= i + 0.5 lie right of the crossing
+    cols = np.minimum(np.maximum(np.ceil(xs - 0.5), 0), width).astype(np.intp)
+    key = np.sort((ring[edges] * height + rows) * (width + 1) + cols)
+    line, start = np.divmod(key[0::2], width + 1)
+    stop = key[1::2] % (width + 1)
+    keep = stop > start
+    ring, row = np.divmod(line[keep], height)
+    return ring, row, start[keep], stop[keep]
+
+
 def fill_polygon(target: np.ndarray, p: Polygon,
                  value) -> Optional[tuple[int, int, int, int]]:
     """Scanline fill with the even-odd rule, sampled at pixel centers.
 
-    Sets target[j, i] = value iff the number of edge crossings strictly to
-    the right of pixel center (i + 0.5, j + 0.5) along the +x ray is odd.
-    Pixels outside the (height, width) target are clipped.  All scanlines
-    are filled at once: each crossing toggles the inside state from its
-    first covered column, and a closed ring crosses every scanline an even
-    number of times, so the parity of the toggles to a pixel's left
-    decides it.  Returns a window (x0, x1, y0, y1) holding every pixel it
-    set; None means it set none.
+    Sets target[j, i] = value iff pixel (i, j) is inside p by the rule of
+    :func:`scanline_spans`, of which this is the one-ring case.  Pixels
+    outside the (height, width) target are clipped.  Returns the window
+    (x0, x1, y0, y1) of the pixels it set; None means it set none.
     """
     height, width = target.shape
-    v = p.vertices
-    if len(p) < 3:
-        return None
-    x1, y1 = v[:, 0], v[:, 1]
-    x2, y2 = np.concatenate((v[1:], v[:1])).T  # each edge's far end
-
-    y_lo = max(0, int(math.floor(y1.min() - 0.5)))
-    y_hi = min(height, int(math.ceil(y1.max() + 0.5)))
-    py = np.arange(y_lo, y_hi) + 0.5
-    rows, edges = np.nonzero((y1 > py[:, None]) != (y2 > py[:, None]))
+    _, rows, x0, x1 = scanline_spans([p.vertices], width, height)
     if rows.size == 0:
         return None
-    ey1, ex1 = y1[edges], x1[edges]
-    t = (py[rows] - ey1) / (y2[edges] - ey1)
-    xs = ex1 + t * (x2[edges] - ex1)
-    # centers with xs <= i + 0.5 lie right of the crossing
-    cols = np.minimum(np.maximum(np.ceil(xs - 0.5), 0), width).astype(np.intp)
-    x_lo, x_hi = int(cols.min()), int(cols.max())
-    if x_hi <= x_lo:
-        return None
-    span = x_hi - x_lo + 1
-    toggles = np.bincount(rows * span + (cols - x_lo), minlength=(y_hi - y_lo) * span)
-    inside = np.cumsum(toggles.reshape(y_hi - y_lo, span)[:, :-1], axis=1) % 2 == 1
-    target[y_lo:y_hi, x_lo:x_hi][inside] = value
-    return x_lo, x_hi, y_lo + int(rows[0]), y_lo + int(rows[-1]) + 1
+    target[np.repeat(rows, x1 - x0), run_pixels(x0, x1)] = value
+    return int(x0.min()), int(x1.max()), int(rows[0]), int(rows[-1]) + 1
 
 
 def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:

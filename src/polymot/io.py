@@ -13,9 +13,13 @@ the MOTS submission layout, one line per instance:
 
 with the compressed run-length string from :mod:`polymot.rle`.  A frame
 is held as its column-major runs (a :class:`polymot.metrics.Frame`) when
-written and when read; a record claiming a pixel that an earlier record
-of its frame holds is a ParseError naming the line.  All writes go
-through a temp file and an atomic rename.
+written and when read.  The strings go through the batch codec: a writer
+flattens each frame, then encodes the instances of a block of frames in
+one call; a reader checks each line's fields, dimensions and ids, then
+decodes every string of the file in one call.  The first error in file
+order is reported with its line: a malformed line, a bad string, or a
+record claiming a pixel that an earlier record of its frame holds.  All
+writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import configparser
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from bisect import bisect_left
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +36,7 @@ import numpy as np
 from .errors import InvalidInputError, ParseError
 from .geometry import Point2, Polygon
 from .metrics import Frame, MetricsReport, Runs, flatten_frame, run_pixels
-from .rle import decode_runs, encode_runs
+from .rle import RunLengthError, decode_strings, encode_strings
 from .simulator import SCENARIO_KINDS, NoiseParams
 from .tracker import Detection, Track, TrackerConfig, emitted_instances
 from .ukf import UkfParams
@@ -112,19 +117,43 @@ def write_detections(frames: Sequence[Sequence[Detection]], path: str) -> None:
 # (track id, class id, polygon, depth) per frame
 InstanceRecord = tuple[int, int, "Polygon", float]
 
+# runs a block of frames collects before its strings are encoded
+ENCODE_BLOCK_RUNS = 1 << 12
+
 
 def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
                            width: int, height: int, path: str) -> None:
-    """Flatten each frame's instances to runs and write RLE lines."""
-    lines = []
+    """Flatten each frame's instances to runs and write RLE lines.
+
+    The strings of a block of frames, about ``ENCODE_BLOCK_RUNS`` runs, are
+    encoded in one :func:`polymot.rle.encode_strings` call.
+    """
+    lines: list[str] = []
+    heads: list[str] = []
+    starts, stops, counts = [], [], []
+
+    def encode_block():
+        bounds = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        strings = encode_strings(np.concatenate(starts), np.concatenate(stops),
+                                 bounds, width * height)
+        lines.extend(map(str.__add__, heads, strings))
+        for block in (heads, starts, stops, counts):
+            block.clear()
+
     for frame in sorted(per_frame):
         records = per_frame[frame]
         classes = {iid: cls for iid, cls, _, _ in records}
         flat = flatten_frame(
             [(iid, poly, depth) for iid, _, poly, depth in records], width, height)
-        for iid, (starts, stops) in zip(flat.ids, flat.instance_runs()):
-            rle = encode_runs(starts, stops, width * height)
-            lines.append(f"{frame} {iid} {classes[iid]} {height} {width} {rle}")
+        frame_starts, frame_stops, bounds = flat.label_runs()
+        starts.append(frame_starts)
+        stops.append(frame_stops)
+        counts.append(np.diff(bounds))
+        heads.extend(f"{frame} {iid} {classes[iid]} {height} {width} " for iid in flat.ids)
+        if sum(map(len, starts)) >= ENCODE_BLOCK_RUNS:
+            encode_block()
+    if heads:
+        encode_block()
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -134,21 +163,23 @@ def write_results(tracks: Sequence[Track], width: int, height: int,
     write_instance_records(emitted_instances(tracks), width, height, path)
 
 
-@dataclass
-class _FrameRecords:
-    """The records of one frame read so far, in file order."""
-
-    ids: list[int] = field(default_factory=list)
-    runs: list[Runs] = field(default_factory=list)
-    lines: list[int] = field(default_factory=list)
-
-
 def parse_mask_records(path: str) -> tuple[dict[int, Frame], dict[int, int],
                                            tuple[int, int]]:
-    """Read result-format lines: per-frame runs, id->class, (h, w)."""
-    records: dict[int, _FrameRecords] = {}
+    """Read result-format lines: per-frame runs, id->class, (h, w).
+
+    The line loop checks each line's fields, dimensions and ids; then every
+    string is decoded in one :func:`polymot.rle.decode_strings` call.  The
+    error reported is the first in file order: a malformed line, a bad
+    string, or a record claiming a pixel that an earlier record of its
+    frame holds.
+    """
+    # frame -> (ids, record indices), each in file order
+    records: dict[int, tuple[list[int], list[int]]] = {}
+    strings: list[str] = []
+    lines: list[int] = []
     classes: dict[int, int] = {}
     dims: Optional[tuple[int, int]] = None
+    error: Optional[ParseError] = None
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -170,32 +201,46 @@ def parse_mask_records(path: str) -> tuple[dict[int, Frame], dict[int, int],
                 elif dims != (h, w):
                     raise ParseError(f"{path}:{lineno}: dimensions {h}x{w} differ "
                                      f"from {dims[0]}x{dims[1]}")
-                rec = records.setdefault(frame, _FrameRecords())
-                if tid in rec.ids:
+                ids, recs = records.setdefault(frame, ([], []))
+                if tid in ids:
                     raise ParseError(f"{path}:{lineno}: duplicate id {tid} in frame {frame}")
-                try:
-                    rec.runs.append(decode_runs(parts[5], h * w))
-                except ParseError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                rec.ids.append(tid)
-                rec.lines.append(lineno)
+                ids.append(tid)
+                recs.append(len(strings))
+                strings.append(parts[5])
+                lines.append(lineno)
                 classes[tid] = cls
-    except ParseError:
-        _frames(path, records, dims)  # an overlap on an earlier line comes first
-        raise
-    return _frames(path, records, dims), classes, dims or (0, 0)
+    except ParseError as exc:
+        error = exc
+    size = dims[0] * dims[1] if dims else 1
+    try:
+        runs = decode_strings(strings, size)
+    except RunLengthError as exc:
+        # a bad string comes before any malformed line: keep the records before it
+        error = ParseError(f"{path}:{lines[exc.index]}: {exc}")
+        runs = decode_strings(strings[:exc.index], size)
+        records = {frame: (ids[:n], recs[:n]) for frame, (ids, recs) in records.items()
+                   if (n := bisect_left(recs, exc.index))}
+    frames = _frames(path, dims, records, lines, *runs)  # an earlier overlap comes first
+    if error is not None:
+        raise error
+    return frames, classes, dims or (0, 0)
 
 
-def _frames(path: str, records: dict[int, _FrameRecords],
-            dims: Optional[tuple[int, int]]) -> dict[int, Frame]:
-    """The frames of the records, or a ParseError naming the first line, in
-    file order, whose record claims a pixel an earlier record of its frame holds."""
+def _frames(path: str, dims: Optional[tuple[int, int]],
+            records: dict[int, tuple[list[int], list[int]]], lines: list[int],
+            starts: np.ndarray, stops: np.ndarray, bounds: np.ndarray) -> dict[int, Frame]:
+    """The frames of the decoded records, or a ParseError naming the first
+    line, in file order, whose record claims a pixel an earlier record of its
+    frame holds.  Record i's runs are [bounds[i], bounds[i + 1])."""
     frames = {}
     overlaps = []
-    for frame, rec in records.items():
-        frames[frame] = Frame.from_instance_runs(dims, rec.ids, rec.runs)
+    bounds = bounds.tolist()
+    for frame, (ids, recs) in records.items():
+        runs = [(starts[bounds[r]:bounds[r + 1]], stops[bounds[r]:bounds[r + 1]])
+                for r in recs]
+        frames[frame] = Frame.from_instance_runs(dims, ids, runs)
         if not frames[frame].disjoint():
-            overlaps.append(rec.lines[_first_overlap(rec.runs, dims[0] * dims[1])])
+            overlaps.append(lines[recs[_first_overlap(runs, dims[0] * dims[1])]])
     if overlaps:
         raise ParseError(f"{path}:{min(overlaps)}: mask overlaps an earlier "
                          f"mask of the same frame")

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Polygon, fill_polygon
+from .geometry import Polygon, run_pixels, scanline_spans
 
 IOU_THRESHOLD = 0.5
 
@@ -31,13 +31,6 @@ IOU_THRESHOLD = 0.5
 InstanceTriple = tuple[int, Polygon, float]
 # (starts, stops) of one instance's runs, in pixel order
 Runs = tuple[np.ndarray, np.ndarray]
-
-
-def run_pixels(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Every index of the runs [starts[i], stops[i]), concatenated in order."""
-    lengths = stops - starts
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
 def _read_runs(values: np.ndarray, pixels=None) -> tuple[np.ndarray, ...]:
@@ -103,12 +96,17 @@ class Frame(NamedTuple):
         """Whether no pixel belongs to two runs."""
         return not (self.starts[1:] < self.stops[:-1]).any()
 
+    def label_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, stops, bounds): the runs grouped by label, label k's at
+        [bounds[k - 1], bounds[k]), each group in pixel order."""
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.searchsorted(self.labels[order], np.arange(1, len(self.ids) + 2))
+        return self.starts[order], self.stops[order], bounds
+
     def instance_runs(self) -> list[Runs]:
         """The runs of each label 1..len(ids), each in pixel order."""
-        order = np.argsort(self.labels, kind="stable")
-        edges = np.searchsorted(self.labels[order], np.arange(1, len(self.ids) + 2))
-        return [(self.starts[order[lo:hi]], self.stops[order[lo:hi]])
-                for lo, hi in zip(edges[:-1], edges[1:])]
+        starts, stops, bounds = self.label_runs()
+        return [(starts[lo:hi], stops[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def window(self, k: int) -> tuple[np.ndarray, tuple[int, int]]:
         """Mask of label k over its bounding window, and the window's top-left
@@ -167,9 +165,11 @@ def flatten_frame(instances: Iterable[InstanceTriple],
                   width: int, height: int) -> Frame:
     """Depth-ordered runs of one frame's instances.
 
-    Paints farthest first into a scratch label so nearer instances
-    overwrite farther ones, then reads back only the columns the fills
-    touched; instances left with no visible pixels are omitted.
+    Every polygon's inside spans come from one :func:`scanline_spans` pass.
+    They are painted farthest first, one assignment per polygon, into a
+    column-major scratch label, so nearer instances overwrite farther ones;
+    then only the columns the spans touch are read back.  Instances left
+    with no visible pixels are omitted.
     """
     items = list(instances)
     for iid, _, depth in items:
@@ -182,21 +182,33 @@ def flatten_frame(instances: Iterable[InstanceTriple],
         dup = next(iid for iid, n in Counter(it[0] for it in items).items() if n > 1)
         raise InvalidInputError(f"duplicate id {dup}")
     rank = {iid: k for k, iid in enumerate(ids, start=1)}
+    # farthest first; ties broken by id for determinism
+    items.sort(key=lambda it: (-it[2], it[0]))
+    ring, rows, x0, x1 = scanline_spans([poly.vertices for _, poly, _ in items],
+                                        width, height)
+    if ring.size == 0:
+        return Frame.empty((height, width))
     # column-major, so each column's strip is contiguous
     flat = np.zeros(height * width, dtype=np.int32)
-    label = flat.reshape((height, width), order="F")
+    lengths = x1 - x0
+    pixels = run_pixels(x0, x1) * height + np.repeat(rows, lengths)
+    bounds = np.concatenate(([0], np.cumsum(lengths)))[
+        np.searchsorted(ring, np.arange(len(items) + 1))].tolist()
+    for (iid, _, _), lo, hi in zip(items, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            flat[pixels[lo:hi]] = rank[iid]
+    # each column's strip spans the row ranges of the polygons' boxes over it
+    first = np.flatnonzero(np.diff(ring, prepend=-1))
+    last = np.append(first[1:], ring.size) - 1
+    bx0, bx1 = np.minimum.reduceat(x0, first), np.maximum.reduceat(x1, first)
+    cols = run_pixels(bx0, bx1)
     top = np.full(width, height)
     bottom = np.zeros(width, dtype=top.dtype)
-    # farthest first; ties broken by id for determinism
-    for iid, poly, _ in sorted(items, key=lambda it: (-it[2], it[0])):
-        box = fill_polygon(label, poly, rank[iid])
-        if box is not None:
-            x0, x1, y0, y1 = box
-            np.minimum(top[x0:x1], y0, out=top[x0:x1])
-            np.maximum(bottom[x0:x1], y1, out=bottom[x0:x1])
-    cols = np.flatnonzero(bottom > top)
+    np.minimum.at(top, cols, np.repeat(rows[first], bx1 - bx0))
+    np.maximum.at(bottom, cols, np.repeat(rows[last] + 1, bx1 - bx0))
+    touched = np.flatnonzero(bottom > top)
     # one ragged gather of every touched column's [top, bottom) strip
-    pixels = run_pixels(cols * height + top[cols], cols * height + bottom[cols])
+    pixels = run_pixels(touched * height + top[touched], touched * height + bottom[touched])
     starts, stops, labels = _read_runs(flat[pixels], pixels)
     visible = np.zeros(len(ids) + 1, dtype=bool)
     visible[labels] = True

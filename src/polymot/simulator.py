@@ -335,6 +335,10 @@ def _build_linear(n_objects, n_frames, width, height, rng):
     for i, y in enumerate(_lane_ys(n_objects, height, rng)):
         w = float(rng.uniform(16.0, 30.0))
         h = float(rng.uniform(12.0, 22.0))
+        if width * 0.3 < w / 2 + 4.0:
+            raise InvalidInputError(
+                f"image width {width} too small for a linear course: an object "
+                f"{w:.0f} px wide must start in its first 30%")
         x0 = float(rng.uniform(w / 2 + 4.0, width * 0.3))
         vmax = (width - w / 2 - 4.0 - x0) / n_frames
         v = float(min(rng.uniform(1.0, 3.0), vmax))
@@ -440,6 +444,10 @@ def _build_random_walk(n_objects, n_frames, width, height, rng):
         h = float(rng.uniform(12.0, 20.0))
         margin_x = w / 2.0 + 2.0
         margin_y = h / 2.0 + 2.0
+        if width < 2.0 * margin_x:
+            raise InvalidInputError(
+                f"image width {width} too small for a random walk of an object "
+                f"{w:.0f} px wide")
         pos = np.array([float(rng.uniform(margin_x, width - margin_x)), y])
         vel = rng.uniform(-2.0, 2.0, 2)
         path = np.empty((n_frames, 2))

@@ -150,6 +150,38 @@ def reference_rle_string(mask: np.ndarray) -> str:
     return "".join(chars)
 
 
+def reference_counts_string(counts) -> str:
+    """The run-length string of a list of counts, zero background pixels
+    first, built with pure-python loops (any counts, zero-length or huge)."""
+    chars = []
+    for i, count in enumerate(counts):
+        value = count if i <= 2 else count - counts[i - 2]
+        while True:
+            group = value & 0x1F
+            value >>= 5
+            sign_bit = bool(group & 0x10)
+            done = (value == 0 and not sign_bit) or (value == -1 and sign_bit)
+            chars.append(chr(48 + (group if done else group | 0x20)))
+            if done:
+                break
+    return "".join(chars)
+
+
+def reference_runs(counts) -> list[tuple[int, int]]:
+    """The maximal runs [start, stop) of set pixels that a list of counts
+    describes: empty runs dropped, runs that touch joined."""
+    runs = []
+    pos = 0
+    for i, count in enumerate(counts):
+        if i % 2 == 1 and count > 0:
+            if runs and runs[-1][1] == pos:
+                runs[-1] = (runs[-1][0], pos + count)
+            else:
+                runs.append((pos, pos + count))
+        pos += count
+    return runs
+
+
 def count_tracking_events(gt_frames, hyp_frames):
     """Exhaustive per-frame event counter over dicts of id -> mask.
 

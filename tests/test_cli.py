@@ -241,6 +241,21 @@ def test_bad_config_error_names_section_and_key(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
+def test_too_narrow_scenario_exits_1_without_traceback(tmp_path):
+    (tmp_path / "run.cfg").write_text(
+        "[scenario]\nkind = random_walk\nn_objects = 3\nn_frames = 10\n"
+        "width = 20\nheight = 48\nseed = 2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polymot.cli", "simulate", "--scenario", "run.cfg",
+         "--out", "dets.txt", "--gt", "gt.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("polymot: error: image width 20 too small")
+    assert "Traceback" not in proc.stderr
+
+
 def test_negative_seed_fails_validation(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SCENARIO_CFG)

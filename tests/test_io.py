@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymot import io as pio
+from polymot import rle
 from polymot.errors import InvalidInputError, ParseError
 from polymot.geometry import Point2, Polygon
 from polymot.metrics import MetricsReport, flatten_frame
@@ -216,6 +217,60 @@ class TestResultFiles:
                         f"0 2 0 8 8 {encode_rle(a)}\n")
         with pytest.raises(ParseError, match=r"r\.txt:2: invalid run-length"):
             pio.parse_mask_records(str(path))
+
+    @pytest.mark.parametrize("rle, message", [
+        ("1é", "invalid run-length character 'é'"),
+        ("1\x00", "invalid run-length character '\\\\x00'"),
+        ("P", "truncated run-length string"),
+        ("121M", "negative run length after delta decoding"),
+        ("6", "run lengths cover 6 pixels, expected 64"),
+        ("o" * 13 + "0", "run-length value out of range"),
+    ])
+    def test_bad_string_names_its_line(self, tmp_path, rle, message):
+        a = np.zeros((8, 8), bool)
+        a[2:4, 2:4] = True
+        path = tmp_path / "r.txt"
+        path.write_text(f"0 1 0 8 8 {encode_rle(a)}\n0 2 0 8 8 {rle}\n"
+                        f"1 1 0 8 8 {encode_rle(a)}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^.*r\.txt:2: {message}$"):
+            pio.parse_mask_records(str(path))
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        a = np.zeros((8, 8), bool)
+        a[2:4, 2:4] = True
+        good = f"0 8 8 {encode_rle(a)}"
+        path = tmp_path / "r.txt"
+        # a bad string on line 2 comes before a field-count error on line 4
+        path.write_text(f"0 1 {good}\n0 2 0 8 8 P\n1 1 {good}\n1 2 0 8 8\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: truncated"):
+            pio.parse_mask_records(str(path))
+        # and a field-count error on line 2 before a bad string on line 4
+        path.write_text(f"0 1 {good}\n0 2 0 8 8\n1 1 {good}\n1 2 0 8 8 P\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: expected 6 fields"):
+            pio.parse_mask_records(str(path))
+        # an overlap on line 2 comes before a bad string on line 3
+        path.write_text(f"0 1 {good}\n0 2 {good}\n1 1 0 8 8 P\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: .*overlaps"):
+            pio.parse_mask_records(str(path))
+        # a bad string on line 2 comes before an overlap on line 3
+        path.write_text(f"0 1 {good}\n1 1 0 8 8 P\n0 2 {good}\n")
+        with pytest.raises(ParseError, match=r"r\.txt:2: truncated"):
+            pio.parse_mask_records(str(path))
+
+    def test_records_in_blocks_read_the_same(self, tmp_path, monkeypatch):
+        tracks = run_sequence(sample_detections(), TrackerConfig())
+        path = tmp_path / "r.txt"
+        pio.write_results(tracks, 256, 160, str(path))
+        text = path.read_text()
+        frames, classes, dims = pio.parse_mask_records(str(path))
+        monkeypatch.setattr(pio, "ENCODE_BLOCK_RUNS", 1)  # a block per frame
+        monkeypatch.setattr(rle, "DECODE_BLOCK_CHARS", 3)  # a block per string
+        pio.write_results(tracks, 256, 160, str(path))
+        assert path.read_text() == text
+        again, _, _ = pio.parse_mask_records(str(path))
+        assert sorted(again) == sorted(frames)
+        for f in frames:
+            assert_same_frame(again[f], frames[f])
 
     def test_records_in_any_id_order(self, tmp_path):
         a = np.zeros((8, 8), bool)

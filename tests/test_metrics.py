@@ -125,6 +125,48 @@ class TestFlatten:
             flatten_frame([(1, rect(0, 0, 4, 4), float("nan"))], 16, 16)
 
 
+@st.composite
+def polygon_frames(draw):
+    """A frame of polygons of 3 to 40 vertices, some partly or wholly outside
+    it, some with horizontal edges on rows of pixel centers, self-crossing
+    rings, tied depths and copies hidden behind their original."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    coord = st.floats(-6.0, 20.0, allow_nan=False)
+    instances = []
+    for iid in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(3, 40))
+        ring = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            ring[:, 1] = np.floor(ring[:, 1]) + 0.5  # edges along center rows
+        if draw(st.integers(0, 5)) == 0:
+            ring[:, 0] += 30.0  # wholly outside
+        depth = float(draw(st.integers(0, 2)))
+        instances.append((iid, ring, depth))
+        if draw(st.integers(0, 4)) == 0:
+            instances.append((iid + 100, ring.copy(), depth + 1.0))  # hidden
+    return h, w, instances
+
+
+class TestFlattenAgainstOracle:
+    @given(polygon_frames())
+    @settings(max_examples=80, deadline=None)
+    def test_frame_matches_painted_ray_cast(self, frame_spec):
+        h, w, instances = frame_spec
+        owner = np.full((h, w), -1)
+        for iid, ring, _ in sorted(instances, key=lambda it: (-it[2], it[0])):
+            owner[rasterize_by_ray_cast(ring, w, h)] = iid
+        frame = flatten_frame([(iid, Polygon(ring), depth)
+                               for iid, ring, depth in instances], w, h)
+        assert frame.ids == sorted(set(owner[owner >= 0].tolist()))
+        assert_valid_runs(frame)
+        assert (np.array([-1, *frame.ids])[label_image(frame)] == owner).all()
+
+    def test_rings_of_fewer_than_three_vertices_cover_nothing(self):
+        segment = Polygon(np.array([[1.2, 0.3], [6.7, 7.9]]))
+        frame = flatten_frame([(1, segment, 1.0), (2, rect(2, 2, 5, 5), 2.0)], 8, 8)
+        assert frame.ids == [2]
+
+
 class TestMatchFrame:
     def test_identical_sets(self):
         gt = label_frame({1: rect_mask(2, 2, 10, 10), 2: rect_mask(14, 14, 22, 22)})

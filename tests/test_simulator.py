@@ -7,9 +7,9 @@ from polymot.errors import InvalidInputError
 from polymot.geometry import centroid
 from polymot.losses import offset_target
 from polymot.metrics import evaluate_polygons
-from polymot.simulator import (IDENTITY_NOISE, NoiseParams, ObjectSpec,
-                               Scenario, build_scenario, generate, perturb,
-                               shape_mask)
+from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, NoiseParams,
+                               ObjectSpec, Scenario, build_scenario, generate,
+                               perturb, shape_mask)
 from polymot.tracker import TrackerConfig, run_sequence, emitted_instances
 
 
@@ -246,3 +246,26 @@ def test_scenario_validation():
         build_scenario("spiral", 1, 10, 128, 128, 0)
     with pytest.raises(InvalidInputError):
         Scenario(kind="linear", width=64, height=64, n_frames=1, seed=0, objects=())
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("width,height", [(4, 4), (20, 48), (48, 6)])
+def test_small_images_build_or_are_rejected(kind, width, height):
+    for seed in range(3):
+        try:
+            scenario = build_scenario(kind, 3, 10, width, height, seed)
+        except InvalidInputError as exc:
+            assert f"image width {width}" in str(exc)
+            continue
+        assert isinstance(scenario, Scenario)
+        try:
+            generate(scenario)
+        except InvalidInputError:
+            pass
+
+
+@pytest.mark.parametrize("kind,width,height", [
+    ("random_walk", 20, 48), ("linear", 20, 48), ("linear", 4, 4)])
+def test_narrow_image_names_its_width(kind, width, height):
+    with pytest.raises(InvalidInputError, match=f"image width {width} too small"):
+        build_scenario(kind, 3, 10, width, height, 2)
