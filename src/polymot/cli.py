@@ -84,8 +84,7 @@ def _cmd_simulate(args) -> int:
     scenario = build_scenario(sc_cfg.kind, sc_cfg.n_objects, sc_cfg.n_frames,
                               sc_cfg.width, sc_cfg.height, seed)
     gt = generate(scenario)
-    dets = perturb(scenario, gt, cfg.noise, seed + 1)
-    pio.write_detections(dets, args.out)
+    pio.write_detections(perturb(scenario, gt, cfg.noise, seed + 1), args.out)
     per_frame = {
         frame: [(g.id, g.class_id, g.polygon, g.depth) for g in entries]
         for frame, entries in enumerate(gt)
@@ -101,10 +100,15 @@ def _cmd_track(args) -> int:
         tracker_cfg = replace(tracker_cfg, use_ukf=False)
     frames = pio.parse_detections(args.dets)
     tracker = Tracker(tracker_cfg)
-    if frames:
-        lo, hi = min(frames), max(frames)
-        for frame in range(lo, hi + 1):
-            tracker.step(frames.get(frame, []), frame)
+    present = list(frames)  # ascending, as the file is in frame order
+    for frame, end in zip(present, [*present[1:], present[-1] + 1] if present else []):
+        tracker.step(frames[frame], frame)
+        # the empty frames up to the next detections: with no live track,
+        # stepping one changes nothing
+        frame += 1
+        while frame < end and tracker.tracks:
+            tracker.step([], frame)
+            frame += 1
     pio.write_results(tracker.all_tracks(), cfg.width, cfg.height, args.out)
     return 0
 

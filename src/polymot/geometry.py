@@ -61,13 +61,15 @@ class Polygon:
             raise InvalidInputError(f"polygon rings must be (m, n, 2), got {rings.shape}")
         if not np.all(np.isfinite(rings)):
             raise InvalidInputError("polygon vertices must be finite")
-        polys = []
-        for v, a in zip(rings, polygon_areas(rings).tolist()):
-            p = object.__new__(cls)
-            object.__setattr__(p, "vertices", v)
-            object.__setattr__(p, "area", a)
-            polys.append(p)
-        return polys
+        return list(map(cls.trusted, rings, polygon_areas(rings).tolist()))
+
+    @classmethod
+    def trusted(cls, vertices: np.ndarray, area: float) -> "Polygon":
+        """A Polygon of float64 (n, 2) vertices already checked finite and
+        their shoelace area, without checking or computing either again."""
+        p = object.__new__(cls)
+        p.__dict__.update(vertices=vertices, area=area)
+        return p
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -95,8 +97,15 @@ def area(p: Polygon) -> float:
     return p.area
 
 
+AREA_BLOCK = 512  # rings per pass of polygon_areas; bounds its temporaries
+
+
 def polygon_areas(rings: np.ndarray) -> np.ndarray:
-    """Shoelace areas for a batch of rings, shape (m, n, 2) -> (m,)."""
+    """Shoelace areas for a batch of rings, shape (m, n, 2) -> (m,), summed
+    ``AREA_BLOCK`` rings at a time (each ring's sum is the same either way)."""
+    if len(rings) > AREA_BLOCK:
+        return np.concatenate([polygon_areas(rings[i:i + AREA_BLOCK])
+                               for i in range(0, len(rings), AREA_BLOCK)])
     x, y = rings[..., 0], rings[..., 1]
     nxt = np.concatenate((rings[..., 1:, :], rings[..., :1, :]), axis=-2)
     xn, yn = nxt[..., 0], nxt[..., 1]

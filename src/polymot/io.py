@@ -6,8 +6,13 @@ Detection files carry one record per line, space separated:
     frame class_id score cx cy depth off_x off_y x0 y0 ... x{V-1} y{V-1}
 
 (8 + 2V numeric fields; the vertex count V >= 3 is inferred per file and
-must not change between lines; '#' starts a comment).  Result files use
-the MOTS submission layout, one line per instance:
+must not change between lines; '#' starts a comment).  Detections are
+read and written as :class:`polymot.tracker.DetectionBlock` columns: a
+reader checks each line's field and vertex counts, integer frame and class
+and frame order, then converts the numbers of a block of lines in one pass
+and checks its rows at once; a writer formats a block of rows with one
+``%`` format per line and streams each block's text to the file.  Result
+files use the MOTS submission layout, one line per instance:
 
     frame track_id class_id img_height img_width rle
 
@@ -18,8 +23,10 @@ flattens each frame, then encodes the instances of a block of frames in
 one call; a reader checks each line's fields, dimensions and ids, then
 decodes every string of the file in one call.  The first error in file
 order is reported with its line: a malformed line, a bad string, or a
-record claiming a pixel that an earlier record of its frame holds.  All
-writes go through a temp file and an atomic rename.
+record claiming a pixel that an earlier record of its frame holds.  In
+both formats the error reported is the first in file order, with the
+message a line-by-line reader gives.  All writes go through a temp file
+and an atomic rename, and the large ones stream in bounded chunks.
 """
 
 from __future__ import annotations
@@ -29,26 +36,32 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .geometry import Point2, Polygon
+from .geometry import Polygon
 from .metrics import Frame, MetricsReport, Runs, flatten_frame, run_pixels
 from .rle import RunLengthError, decode_strings, encode_strings
 from .simulator import SCENARIO_KINDS, NoiseParams
-from .tracker import Detection, Track, TrackerConfig, emitted_instances
+from .tracker import (Detection, DetectionBlock, Track, TrackerConfig,
+                      emitted_instances)
 from .ukf import UkfParams
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write whole-file atomically: temp file in the same directory, then rename."""
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write whole-file atomically: temp file in the same directory, then
+    rename.  ``text`` is the file's text or an iterable of its chunks."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,57 +74,148 @@ def _strip_comment(line: str) -> str:
     return line if hash_pos < 0 else line[:hash_pos]
 
 
-def parse_detections(path: str) -> dict[int, list[Detection]]:
-    """Strict parse of a detection file into per-frame lists (keyed by frame)."""
-    frames: dict[int, list[Detection]] = {}
+# detection lines whose numbers are converted and checked in one pass
+PARSE_BLOCK_LINES = 1 << 7
+# detection rows formatted into one chunk of text
+FORMAT_BLOCK_ROWS = 1 << 8
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def parse_detections(path: str) -> dict[int, DetectionBlock]:
+    """Strict parse of a detection file into per-frame rows (keyed by frame).
+
+    The line loop checks each line's field and vertex counts, its integer
+    frame and class and the frame order.  The numbers of each block of
+    ``PARSE_BLOCK_LINES`` lines are converted in one pass and the rows
+    checked by :func:`polymot.tracker.first_invalid`.  The error reported is
+    the first in file order, with the message of a line-by-line parse.  The
+    frames' rows are views of one :class:`DetectionBlock`.
+    """
+    blocks: list[DetectionBlock] = []
+    heads: list[tuple[int, int]] = []  # frame, class id of the pending lines
+    numbers: list[list[str]] = []
+    linenos: list[int] = []
     last_frame: Optional[int] = None
     vertex_count: Optional[int] = None
+    error: Optional[ParseError] = None
+
+    def flush():
+        if heads:
+            blocks.append(_detection_block(path, heads, numbers, linenos))
+            for pending in (heads, numbers, linenos):
+                pending.clear()
+
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = _strip_comment(raw).split()
             if not parts:
                 continue
-            n_vertices, odd = divmod(len(parts) - 8, 2)
-            if odd or n_vertices < 3:
-                raise ParseError(f"{path}:{lineno}: expected 8 + 2V fields with "
-                                 f"V >= 3 vertices, got {len(parts)}")
-            if vertex_count is None:
-                vertex_count = n_vertices
-            elif n_vertices != vertex_count:
-                raise ParseError(f"{path}:{lineno}: {n_vertices} vertices, "
-                                 f"earlier lines have {vertex_count}")
             try:
-                frame = int(parts[0])
-                class_id = int(parts[1])
-                nums = [float(x) for x in parts[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if last_frame is not None and frame < last_frame:
-                raise ParseError(
-                    f"{path}:{lineno}: frame {frame} after frame {last_frame}")
+                frame, class_id, vertex_count = _line_head(
+                    path, lineno, parts, vertex_count, last_frame)
+            except ParseError as exc:
+                error = exc  # the pending lines come before it
+                break
             last_frame = frame
-            score, cx, cy, depth, off_x, off_y = nums[:6]
-            ring = np.array(nums[6:], dtype=np.float64).reshape(-1, 2)
+            heads.append((frame, class_id))
+            numbers.append(parts[2:])
+            linenos.append(lineno)
+            if len(heads) == PARSE_BLOCK_LINES:
+                flush()
+    flush()
+    if error is not None:
+        raise error
+    return DetectionBlock.concat(blocks).by_frame() if blocks else {}
+
+
+def _line_head(path: str, lineno: int, parts: list[str], vertex_count: Optional[int],
+               last_frame: Optional[int]) -> tuple[int, int, int]:
+    """A detection line's frame, class id and vertex count, or a ParseError.
+
+    As a line-by-line parse does, a line's bad number is reported before a
+    frame smaller than the last line's.
+    """
+    n_vertices, odd = divmod(len(parts) - 8, 2)
+    if odd or n_vertices < 3:
+        raise ParseError(f"{path}:{lineno}: expected 8 + 2V fields with "
+                         f"V >= 3 vertices, got {len(parts)}")
+    if vertex_count is not None and n_vertices != vertex_count:
+        raise ParseError(f"{path}:{lineno}: {n_vertices} vertices, "
+                         f"earlier lines have {vertex_count}")
+    try:
+        frame = int(parts[0])
+        class_id = int(parts[1])
+        decreasing = last_frame is not None and frame < last_frame
+        if decreasing:
+            list(map(float, parts[2:]))
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    if decreasing:
+        raise ParseError(f"{path}:{lineno}: frame {frame} after frame {last_frame}")
+    if frame not in _INT64 or class_id not in _INT64:
+        raise ParseError(f"{path}:{lineno}: frame {frame} and class {class_id} "
+                         f"must fit in 64 bits")
+    return frame, class_id, n_vertices
+
+
+def _detection_block(path: str, heads: list[tuple[int, int]], numbers: list[list[str]],
+                     linenos: list[int]) -> DetectionBlock:
+    """The checked rows of well-formed detection lines, or a ParseError
+    naming the first line whose numbers do not convert or whose row is
+    invalid."""
+    n, width = len(numbers), len(numbers[0])
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(numbers)), np.float64,
+                             n * width).reshape(n, width)
+    except ValueError:
+        for k, fields_k in enumerate(numbers):
             try:
-                det = Detection(frame=frame, class_id=class_id, score=score,
-                                center=Point2(cx, cy), polygon=Polygon(ring),
-                                depth=depth, offset=(off_x, off_y))
-            except InvalidInputError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            frames.setdefault(frame, []).append(det)
-    return frames
+                list(map(float, fields_k))
+            except ValueError as exc:
+                if k:  # an invalid row before it comes first
+                    _detection_block(path, heads[:k], numbers[:k], linenos[:k])
+                raise ParseError(f"{path}:{linenos[k]}: {exc}") from exc
+        raise
+    ints = np.array(heads, dtype=np.int64)
+    block = DetectionBlock(ints[:, 0], ints[:, 1], values[:, 0], values[:, 1:3],
+                           values[:, 4:6], values[:, 3], values[:, 6:].reshape(n, -1, 2))
+    bad = block.first_invalid()
+    if bad is not None:
+        raise ParseError(f"{path}:{linenos[bad[0]]}: {bad[1]}")
+    return block
 
 
-def format_detection(d: Detection) -> str:
-    coords = " ".join(f"{v:.4f}" for v in d.polygon.vertices.ravel())
-    return (f"{d.frame} {d.class_id} {d.score:.4f} {d.center.x:.4f} "
-            f"{d.center.y:.4f} {d.depth:.4f} {d.offset[0]:.4f} "
-            f"{d.offset[1]:.4f} {coords}")
+def write_detections(frames: Iterable[Union[DetectionBlock, Sequence[Detection]]],
+                     path: str) -> None:
+    """Write per-frame detection rows, about ``FORMAT_BLOCK_ROWS`` rows per
+    chunk of text."""
+    atomic_write_text(path, _detection_chunks(frames))
 
 
-def write_detections(frames: Sequence[Sequence[Detection]], path: str) -> None:
-    lines = [format_detection(d) for dets in frames for d in dets]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def _detection_chunks(frames: Iterable[Union[DetectionBlock, Sequence[Detection]]]
+                      ) -> Iterator[str]:
+    group: list[DetectionBlock] = []
+    size = 0
+    for rows in frames:
+        block = DetectionBlock.of(rows)
+        if len(block):
+            group.append(block)
+            size += len(block)
+        if size >= FORMAT_BLOCK_ROWS:
+            yield _format_rows(DetectionBlock.concat(group))
+            group, size = [], 0
+    if group:
+        yield _format_rows(DetectionBlock.concat(group))
+
+
+def _format_rows(block: DetectionBlock) -> str:
+    """One line per row: integers as such, every other number with 4 decimals."""
+    n, n_vertices = block.rings.shape[:2]
+    line = "%d %d" + " %.4f" * (6 + 2 * n_vertices) + "\n"
+    values = np.concatenate((block.score[:, None], block.center, block.depth[:, None],
+                             block.offset, block.rings.reshape(n, -1)), axis=1)
+    return "".join([line % (f, c, *v) for f, c, v in zip(
+        block.frame.tolist(), block.class_id.tolist(), values.tolist())])
 
 
 # (track id, class id, polygon, depth) per frame
@@ -126,20 +230,16 @@ def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
     """Flatten each frame's instances to runs and write RLE lines.
 
     The strings of a block of frames, about ``ENCODE_BLOCK_RUNS`` runs, are
-    encoded in one :func:`polymot.rle.encode_strings` call.
+    encoded in one :func:`polymot.rle.encode_strings` call and their lines
+    written before the next block is flattened.
     """
-    lines: list[str] = []
+    atomic_write_text(path, _instance_chunks(per_frame, width, height))
+
+
+def _instance_chunks(per_frame: Mapping[int, Sequence[InstanceRecord]],
+                     width: int, height: int) -> Iterator[str]:
     heads: list[str] = []
     starts, stops, counts = [], [], []
-
-    def encode_block():
-        bounds = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        strings = encode_strings(np.concatenate(starts), np.concatenate(stops),
-                                 bounds, width * height)
-        lines.extend(map(str.__add__, heads, strings))
-        for block in (heads, starts, stops, counts):
-            block.clear()
-
     for frame in sorted(per_frame):
         records = per_frame[frame]
         classes = {iid: cls for iid, cls, _, _ in records}
@@ -151,10 +251,18 @@ def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
         counts.append(np.diff(bounds))
         heads.extend(f"{frame} {iid} {classes[iid]} {height} {width} " for iid in flat.ids)
         if sum(map(len, starts)) >= ENCODE_BLOCK_RUNS:
-            encode_block()
+            yield _rle_lines(heads, starts, stops, counts, width * height)
+            heads, starts, stops, counts = [], [], [], []
     if heads:
-        encode_block()
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        yield _rle_lines(heads, starts, stops, counts, width * height)
+
+
+def _rle_lines(heads: list[str], starts: list[np.ndarray], stops: list[np.ndarray],
+               counts: list[np.ndarray], size: int) -> str:
+    """The lines of a block of records: each head and its encoded runs."""
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    strings = encode_strings(np.concatenate(starts), np.concatenate(stops), bounds, size)
+    return "".join(map("{}{}\n".format, heads, strings))
 
 
 def write_results(tracks: Sequence[Track], width: int, height: int,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon, polygonize_windows
 from .losses import offset_target
-from .tracker import Detection
+from .tracker import DetectionBlock
 
 SCENARIO_KINDS = ("linear", "crossing", "occlusion", "boundary_exit_enter", "random_walk")
 SHAPES = ("rectangle", "ellipse")
@@ -235,13 +235,13 @@ def _true_center_index(sc: Scenario) -> dict[int, dict[int, tuple[float, float]]
     return index
 
 
-def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> Polygon:
+def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return Polygon(np.stack([cx + a * np.cos(theta), cy + b * np.sin(theta)], axis=1))
+    return np.stack([cx + a * np.cos(theta), cy + b * np.sin(theta)], axis=1)
 
 
 def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
-            noise: NoiseParams, seed: int) -> list[list[Detection]]:
+            noise: NoiseParams, seed: int) -> list[DetectionBlock]:
     """Detector emulation: drop, jitter, and pollute the ground truth.
 
     Per object-frame: omitted with ``drop_prob``; survivors get an
@@ -250,20 +250,25 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
     ``prev_frame_lookback`` frames back (0 when absent there) plus Gaussian
     noise.  Per frame, one false positive appears with ``fp_prob``: a small
     ellipse at a uniform location with score U(0.3, 0.6).
+
+    The detections of all frames are one DetectionBlock; the result holds
+    its rows of each frame of ``gt_frames``, in order.
     """
     rng = np.random.default_rng(seed)
     centers = _true_center_index(sc)
     jitter_px = noise.center_jitter_sigma * noise.downsample
     lb = noise.prev_frame_lookback
 
-    out: list[list[Detection]] = []
+    heads: list[tuple[int, int]] = []     # frame, class id
+    values: list[tuple[float, ...]] = []  # score, center, depth, offset
+    rings: list[np.ndarray] = []          # untranslated rings
+    shifts: list[tuple[float, float]] = []
+    starts = [0]
     for frame, entries in enumerate(gt_frames):
-        dets: list[Detection] = []
         for gt in entries:
             if rng.random() < noise.drop_prob:
                 continue
             jx, jy = rng.normal(0.0, jitter_px, 2) if jitter_px > 0 else (0.0, 0.0)
-            center = Point2(gt.center.x + jx, gt.center.y + jy)
             true_now = centers[gt.id][frame]
             true_prev = centers[gt.id].get(frame - lb)
             if true_prev is not None:
@@ -273,11 +278,11 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
             if noise.offset_noise_sigma > 0:
                 ox, oy = rng.normal(0.0, noise.offset_noise_sigma, 2)
                 off = (off[0] + ox, off[1] + oy)
-            dets.append(Detection(
-                frame=frame, class_id=gt.class_id,
-                score=float(rng.uniform(0.7, 1.0)), center=center,
-                polygon=gt.polygon.translated(jx, jy), depth=gt.depth,
-                offset=off))
+            score = float(rng.uniform(0.7, 1.0))
+            heads.append((frame, gt.class_id))
+            values.append((score, gt.center.x + jx, gt.center.y + jy, gt.depth, *off))
+            rings.append(gt.polygon.vertices)
+            shifts.append((jx, jy))
         if rng.random() < noise.fp_prob:
             fx = float(rng.uniform(12.0, sc.width - 12.0))
             fy = float(rng.uniform(12.0, sc.height - 12.0))
@@ -288,12 +293,23 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
             if noise.offset_noise_sigma > 0:
                 ox, oy = rng.normal(0.0, noise.offset_noise_sigma, 2)
                 off = (ox, oy)
-            dets.append(Detection(
-                frame=frame, class_id=0, score=score, center=Point2(fx, fy),
-                polygon=_ellipse_ring(fx, fy, a, b, sc.n_vertices),
-                depth=float(sc.height) - fy, offset=off))
-        out.append(dets)
-    return out
+            heads.append((frame, 0))
+            values.append((score, fx, fy, float(sc.height) - fy, *off))
+            rings.append(_ellipse_ring(fx, fy, a, b, sc.n_vertices))
+            shifts.append((0.0, 0.0))
+        starts.append(len(heads))
+
+    n = len(heads)
+    ints = np.array(heads, dtype=np.int64).reshape(n, 2)
+    cols = np.array(values, dtype=np.float64).reshape(n, 6)
+    stack = np.array(rings) if n else np.empty((0, sc.n_vertices, 2))
+    stack += np.array(shifts).reshape(n, 1, 2)
+    block = DetectionBlock(ints[:, 0], ints[:, 1], cols[:, 0], cols[:, 1:3], cols[:, 4:6],
+                           cols[:, 3], stack)
+    bad = block.first_invalid()
+    if bad is not None:
+        raise InvalidInputError(bad[1])
+    return [block[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def _lane_ys(n: int, height: int, rng: np.random.Generator) -> list[float]:

@@ -7,7 +7,17 @@ vectorized kernels, textbook formulas instead of batched linear algebra.
 
 from __future__ import annotations
 
+import math
+from typing import Optional, Sequence
+
 import numpy as np
+
+from polymot.errors import InvalidInputError, ParseError
+from polymot.geometry import Point2, Polygon
+from polymot.losses import offset_target
+from polymot.simulator import (GroundTruthObject, NoiseParams, Scenario,
+                               _true_center_index)
+from polymot.tracker import CENTER_TOLERANCE_FRAC, CENTER_TOLERANCE_PX, Detection
 
 
 def point_in_polygon(px: float, py: float, vertices: np.ndarray) -> bool:
@@ -230,3 +240,141 @@ def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         grad[idx] = (fn(xp) - fn(xm)) / (2 * h)
         it.iternext()
     return grad
+
+
+def reference_ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> Polygon:
+    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return Polygon(np.stack([cx + a * np.cos(theta), cy + b * np.sin(theta)], axis=1))
+
+
+def reference_perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
+                      noise: NoiseParams, seed: int) -> list[list[Detection]]:
+    """Detector emulation, one Detection at a time: the per-object form
+    of :func:`polymot.simulator.perturb`, which must equal it exactly.
+
+    Per object-frame: omitted with ``drop_prob``; survivors get an
+    isotropic Gaussian center jitter (polygon translated along with it), a
+    score from U(0.7, 1.0), and an offset toward their center
+    ``prev_frame_lookback`` frames back (0 when absent there) plus Gaussian
+    noise.  Per frame, one false positive appears with ``fp_prob``: a small
+    ellipse at a uniform location with score U(0.3, 0.6).
+    """
+    rng = np.random.default_rng(seed)
+    centers = _true_center_index(sc)
+    jitter_px = noise.center_jitter_sigma * noise.downsample
+    lb = noise.prev_frame_lookback
+
+    out: list[list[Detection]] = []
+    for frame, entries in enumerate(gt_frames):
+        dets: list[Detection] = []
+        for gt in entries:
+            if rng.random() < noise.drop_prob:
+                continue
+            jx, jy = rng.normal(0.0, jitter_px, 2) if jitter_px > 0 else (0.0, 0.0)
+            center = Point2(gt.center.x + jx, gt.center.y + jy)
+            true_now = centers[gt.id][frame]
+            true_prev = centers[gt.id].get(frame - lb)
+            if true_prev is not None:
+                off = offset_target(Point2(*true_now), Point2(*true_prev))
+            else:
+                off = (0.0, 0.0)
+            if noise.offset_noise_sigma > 0:
+                ox, oy = rng.normal(0.0, noise.offset_noise_sigma, 2)
+                off = (off[0] + ox, off[1] + oy)
+            dets.append(Detection(
+                frame=frame, class_id=gt.class_id,
+                score=float(rng.uniform(0.7, 1.0)), center=center,
+                polygon=gt.polygon.translated(jx, jy), depth=gt.depth,
+                offset=off))
+        if rng.random() < noise.fp_prob:
+            fx = float(rng.uniform(12.0, sc.width - 12.0))
+            fy = float(rng.uniform(12.0, sc.height - 12.0))
+            a = float(rng.uniform(4.0, 12.0))
+            b = float(rng.uniform(4.0, 12.0))
+            score = float(rng.uniform(0.3, 0.6))
+            off = (0.0, 0.0)
+            if noise.offset_noise_sigma > 0:
+                ox, oy = rng.normal(0.0, noise.offset_noise_sigma, 2)
+                off = (ox, oy)
+            dets.append(Detection(
+                frame=frame, class_id=0, score=score, center=Point2(fx, fy),
+                polygon=reference_ellipse_ring(fx, fy, a, b, sc.n_vertices),
+                depth=float(sc.height) - fy, offset=off))
+        out.append(dets)
+    return out
+
+
+def reference_check_detection(score, center, polygon, depth, offset) -> None:
+    """A detection's invariants checked one at a time, in order, as
+    ``Detection`` did per object: InvalidInputError on the first broken one."""
+    if not (0.0 <= score <= 1.0):
+        raise InvalidInputError(f"score {score} outside [0, 1]")
+    if not all(map(math.isfinite, (*center, depth, *offset))):
+        raise InvalidInputError(
+            f"center {tuple(center)}, depth {depth} and offset "
+            f"{tuple(offset)} must be finite")
+    c = polygon.vertices.mean(axis=0)
+    x0, y0, x1, y1 = polygon.bbox()
+    tol = max(CENTER_TOLERANCE_PX,
+              CENTER_TOLERANCE_FRAC * math.hypot(x1 - x0, y1 - y0))
+    if math.hypot(c[0] - center[0], c[1] - center[1]) > tol:
+        raise InvalidInputError(
+            f"center {center} is {tol:.2f}+ px away from the polygon centroid")
+
+
+def _strip_comment(line: str) -> str:
+    hash_pos = line.find("#")
+    return line if hash_pos < 0 else line[:hash_pos]
+
+
+def reference_parse_detections(path: str) -> dict[int, list[Detection]]:
+    """Strict line-by-line parse of a detection file into per-frame lists of
+    Detections: the form :func:`polymot.io.parse_detections` must equal,
+    values, errors and messages alike."""
+    frames: dict[int, list[Detection]] = {}
+    last_frame: Optional[int] = None
+    vertex_count: Optional[int] = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = _strip_comment(raw).split()
+            if not parts:
+                continue
+            n_vertices, odd = divmod(len(parts) - 8, 2)
+            if odd or n_vertices < 3:
+                raise ParseError(f"{path}:{lineno}: expected 8 + 2V fields with "
+                                 f"V >= 3 vertices, got {len(parts)}")
+            if vertex_count is None:
+                vertex_count = n_vertices
+            elif n_vertices != vertex_count:
+                raise ParseError(f"{path}:{lineno}: {n_vertices} vertices, "
+                                 f"earlier lines have {vertex_count}")
+            try:
+                frame = int(parts[0])
+                class_id = int(parts[1])
+                nums = [float(x) for x in parts[2:]]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if last_frame is not None and frame < last_frame:
+                raise ParseError(
+                    f"{path}:{lineno}: frame {frame} after frame {last_frame}")
+            last_frame = frame
+            score, cx, cy, depth, off_x, off_y = nums[:6]
+            ring = np.array(nums[6:], dtype=np.float64).reshape(-1, 2)
+            try:
+                polygon = Polygon(ring)
+                reference_check_detection(score, Point2(cx, cy), polygon, depth,
+                                          (off_x, off_y))
+            except InvalidInputError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            det = Detection(frame=frame, class_id=class_id, score=score,
+                            center=Point2(cx, cy), polygon=polygon,
+                            depth=depth, offset=(off_x, off_y))
+            frames.setdefault(frame, []).append(det)
+    return frames
+
+
+def reference_format_detection(d: Detection) -> str:
+    coords = " ".join(f"{v:.4f}" for v in d.polygon.vertices.ravel())
+    return (f"{d.frame} {d.class_id} {d.score:.4f} {d.center.x:.4f} "
+            f"{d.center.y:.4f} {d.depth:.4f} {d.offset[0]:.4f} "
+            f"{d.offset[1]:.4f} {coords}")

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -140,6 +141,19 @@ def test_pipeline_outputs_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PIPELINE_SHA256}
     assert digests == PIPELINE_SHA256
+
+
+def test_track_skips_empty_frames_without_live_tracks(tmp_path):
+    line = "{} 0 0.9 15 15 2 0 0 10 10 20 10 20 20 10 20\n"
+    dets = tmp_path / "dets.txt"
+    dets.write_text(line.format(0) + line.format(10 ** 9))
+    results = tmp_path / "results.txt"
+    start = time.perf_counter()
+    assert main(["track", "--dets", str(dets), "--out", str(results)]) == 0
+    assert time.perf_counter() - start < 10.0
+    frames, _, _ = pio.parse_mask_records(str(results))
+    assert sorted(frames) == [0, 10 ** 9]
+    assert (frames[0].ids, frames[10 ** 9].ids) == ([1], [2])
 
 
 def test_results_reparse_self_consistent(tmp_path):

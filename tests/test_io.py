@@ -1,6 +1,6 @@
 import os
-
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +14,12 @@ from polymot.geometry import Point2, Polygon
 from polymot.metrics import MetricsReport, flatten_frame
 from polymot.rle import encode_rle
 from polymot.simulator import IDENTITY_NOISE, build_scenario, generate, perturb
-from polymot.tracker import (Detection, TrackerConfig, emitted_instances,
-                             run_sequence)
+from polymot.tracker import (Detection, DetectionBlock, TrackerConfig,
+                             emitted_instances, run_sequence)
 
+from oracles import reference_format_detection, reference_parse_detections
 from test_metrics import assert_same_frame, label_image
+from test_simulator import assert_same_detections
 
 
 def sample_detections(n_frames=6):
@@ -141,6 +143,206 @@ class TestDetectionFiles:
         text = "# header\n" + path.read_text().replace("\n", " # tail\n", 1)
         path.write_text(text)
         assert pio.parse_detections(str(path))
+
+
+# a well-formed 4-vertex line: a 10 px square centered on (15, 15)
+GOOD = "{frame} 1 0.9 15 15 2 -1 0 10 10 20 10 20 20 10 20"
+
+# one defect per message of a line-by-line parse, each as a function of the
+# line's frame (the previous good line has frame 5)
+DEFECTS = {
+    "field count": "{frame} 1 0.9 15 15 2 -1 0 10 10 20 10 20 20 10",
+    "vertex count": "{frame} 1 0.9 15 15 2 -1 0 10 10 20 10 20 20 10 20 15 5",
+    "bad int": "{frame} x 0.9 15 15 2 -1 0 10 10 20 10 20 20 10 20",
+    "bad float": "{frame} 1 0.9 15 1.5.1 2 -1 0 10 10 20 10 20 20 10 20",
+    "decreasing frame": "1 1 0.9 15 15 2 -1 0 10 10 20 10 20 20 10 20",
+    "non-finite field": "{frame} 1 0.9 15 15 2 nan 0 10 10 20 10 20 20 10 20",
+    "non-finite vertex": "{frame} 1 0.9 15 15 2 -1 0 10 10 20 inf 20 20 10 20",
+    "score range": "{frame} 1 1.25 15 15 2 -1 0 10 10 20 10 20 20 10 20",
+    "off centroid": "{frame} 1 0.9 25 15 2 -1 0 10 10 20 10 20 20 10 20",
+}
+MESSAGES = {
+    "field count": r"expected 8 \+ 2V fields with V >= 3 vertices, got 15",
+    "vertex count": r"5 vertices, earlier lines have 4",
+    "bad int": r"invalid literal for int\(\) with base 10: 'x'",
+    "bad float": r"could not convert string to float: '1\.5\.1'",
+    "decreasing frame": r"frame 1 after frame 5",
+    "non-finite field": r"center \(15\.0, 15\.0\), depth 2\.0 and offset \(nan, 0\.0\) must be finite",
+    "non-finite vertex": r"polygon vertices must be finite",
+    "score range": r"score 1\.25 outside \[0, 1\]",
+    "off centroid": r"center Point2\(x=25\.0, y=15\.0\) is 2\.00\+ px away from the polygon centroid",
+}
+
+
+def detection_lines(n_lines):
+    """Good lines, about three per frame, from frame 5 on."""
+    return [GOOD.format(frame=5 + k // 3) for k in range(n_lines)]
+
+
+def random_detections(data, n_vertices):
+    """Per-frame lists of valid Detections with awkward numbers: -0.0, tiny
+    negatives that format as -0.0000, scores of exactly 0 and 1, and large
+    magnitudes."""
+    special = st.sampled_from([0.0, -0.0, -1e-5, 1e-5, 123456789.123456])
+    coord = st.floats(-1e9, 1e9, allow_nan=False) | special
+    number = st.floats(-1e15, 1e15, allow_nan=False) | special
+    score = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0, 1)
+    frames = []
+    for frame in range(data.draw(st.integers(1, 4))):
+        dets = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            ring = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n_vertices,
+                                               max_size=n_vertices)), dtype=float)
+            dets.append(Detection(
+                frame=frame, class_id=data.draw(st.integers(0, 5)),
+                score=data.draw(score), center=Point2(*ring.mean(axis=0)),
+                polygon=Polygon(ring), depth=data.draw(number),
+                offset=(data.draw(number), data.draw(number))))
+        frames.append(dets)
+    return frames
+
+
+def assert_same_parse(path):
+    """parse_detections equals the line-by-line oracle: the same ParseError
+    message, or the same frames with every field equal bit for bit."""
+    try:
+        want = reference_parse_detections(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            pio.parse_detections(path)
+        assert str(got.value) == str(exc)
+        return
+    got = pio.parse_detections(path)
+    assert list(got) == list(want)
+    for frame in want:
+        assert_same_detections(got[frame], want[frame])
+
+
+class TestDetectionBlocks:
+    @given(n_vertices=st.sampled_from([3, 16, 32]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_text_and_parse_equal_the_per_line_oracles(self, tmp_path_factory,
+                                                       n_vertices, data):
+        frames = random_detections(data, n_vertices)
+        want = "".join(reference_format_detection(d) + "\n" for dets in frames for d in dets)
+        rows = [d for dets in frames for d in dets]
+        # the same rows as one block of columns, not of Detections
+        block = DetectionBlock(
+            np.array([d.frame for d in rows], dtype=np.int64).reshape(-1),
+            np.array([d.class_id for d in rows], dtype=np.int64).reshape(-1),
+            np.array([d.score for d in rows]).reshape(-1),
+            np.array([d.center for d in rows]).reshape(-1, 2),
+            np.array([d.offset for d in rows]).reshape(-1, 2),
+            np.array([d.depth for d in rows]).reshape(-1),
+            np.array([d.polygon.vertices for d in rows]).reshape(-1, n_vertices, 2))
+        directory = tmp_path_factory.mktemp("dets")
+        for name, source in (("lists", frames), ("block", [block])):
+            path = str(directory / f"{name}.txt")
+            pio.write_detections(source, path)
+            assert open(path).read() == want
+            assert_same_parse(path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_defects_report_what_the_per_line_oracle_reports(
+            self, tmp_path_factory, data):
+        lines = detection_lines(data.draw(st.integers(1, 12)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            frame = 5 + k // 3
+            lines[k] = DEFECTS[data.draw(st.sampled_from(sorted(DEFECTS)))].format(frame=frame)
+        path = str(tmp_path_factory.mktemp("dets") / "dets.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with mock.patch.object(pio, "PARSE_BLOCK_LINES", data.draw(st.integers(1, 5))):
+            assert_same_parse(path)
+
+    @pytest.mark.parametrize("first", sorted(DEFECTS))
+    def test_first_bad_line_in_file_order_wins(self, tmp_path, first):
+        for second in DEFECTS:
+            lines = detection_lines(6)
+            lines[1] = DEFECTS[first].format(frame=5)
+            lines[3] = DEFECTS[second].format(frame=6)
+            path = tmp_path / "dets.txt"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError, match=rf"dets\.txt:2: {MESSAGES[first]}$"):
+                pio.parse_detections(str(path))
+            assert_same_parse(str(path))
+
+    def test_same_line_defects_keep_line_by_line_precedence(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        cases = [  # line 2 text, expected message
+            ("1 1 0.9 15 x 2 -1 0 10 10 20 10 20 20 10 20",  # frame order and float
+             "could not convert string to float: 'x'"),
+            ("1 1 0.9 15 15 nan -1 0 10 10 20 10 20 20 10 20",  # frame order and value
+             "frame 1 after frame 5"),
+            ("5 y 0.9 15 x 2 -1 0 10 10 20 10 20 20 10 20",  # int and float
+             "invalid literal for int() with base 10: 'y'"),
+            ("5 1 nan 15 15 inf -1 0 10 10 20 inf 20 20 10 20",  # vertex, score, field
+             "polygon vertices must be finite"),
+            ("5 1 nan 15 15 inf -1 0 10 10 20 10 20 20 10 20",  # score and field
+             "score nan outside [0, 1]"),
+        ]
+        for line, message in cases:
+            path.write_text(GOOD.format(frame=5) + "\n" + line + "\n")
+            with pytest.raises(ParseError) as exc:
+                pio.parse_detections(str(path))
+            assert str(exc.value) == f"{path}:2: {message}"
+            assert_same_parse(str(path))
+
+    @pytest.mark.parametrize("block_lines", [4, None])
+    def test_bad_line_in_a_later_block(self, tmp_path, monkeypatch, block_lines):
+        if block_lines:
+            monkeypatch.setattr(pio, "PARSE_BLOCK_LINES", block_lines)
+        size = pio.PARSE_BLOCK_LINES
+        lines = detection_lines(3 * size)
+        lines[size + 2] = DEFECTS["score range"].format(frame=5 + (size + 2) // 3)
+        lines[2 * size + 1] = DEFECTS["field count"].format(frame=5)
+        path = tmp_path / "dets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf":{size + 3}: {MESSAGES['score range']}$"):
+            pio.parse_detections(str(path))
+        lines[size + 2] = GOOD.format(frame=5 + (size + 2) // 3)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf":{2 * size + 2}: {MESSAGES['field count']}$"):
+            pio.parse_detections(str(path))
+
+    def test_scores_of_exactly_zero_and_one_are_accepted(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text(GOOD.replace("0.9", "0").format(frame=0) + "\n"
+                        + GOOD.replace("0.9", "1").format(frame=1) + "\n")
+        frames = pio.parse_detections(str(path))
+        assert [d.score for f in (0, 1) for d in frames[f]] == [0.0, 1.0]
+
+    def test_rows_of_a_parsed_block_still_validate(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text(GOOD.format(frame=0) + "\n")
+        d = pio.parse_detections(str(path))[0][0]
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            replace(d, center=Point2(float("nan"), d.center.y))
+        with pytest.raises(InvalidInputError, match="outside"):
+            replace(d, score=1.5)
+        assert replace(d, score=0.5).score == 0.5
+
+    def test_frame_beyond_64_bits_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text(GOOD.format(frame=2 ** 63) + "\n")
+        with pytest.raises(ParseError, match=r":1: frame 9223372036854775808 and class 1 "
+                                             r"must fit in 64 bits"):
+            pio.parse_detections(str(path))
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        pio.write_detections(sample_detections(), str(path))
+        before = path.read_text()
+        ring = Polygon(np.array([[0, 0], [4, 0], [4, 4], [0, 4], [2, 5]], float))
+        odd = Detection(frame=9, class_id=0, score=0.5, center=Point2(2.0, 2.6),
+                        polygon=ring, depth=1.0, offset=(0.0, 0.0))
+        frames = [*sample_detections(), [odd, sample_detections()[1][0]]]
+        with pytest.raises(InvalidInputError, match="share a vertex count"):
+            pio.write_detections(frames, str(path))
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["dets.txt"]
 
 
 class TestResultFiles:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, NoiseParams,
                                ObjectSpec, Scenario, build_scenario, generate,
                                perturb, shape_mask)
 from polymot.tracker import TrackerConfig, run_sequence, emitted_instances
+
+from oracles import reference_perturb
 
 
 def gt_centers(frames, oid):
@@ -224,6 +227,36 @@ class TestPerturb:
             for bad in (-1.0, math.nan, math.inf):
                 with pytest.raises(InvalidInputError, match=key):
                     NoiseParams(**{key: bad})
+
+
+def assert_same_detections(got, want):
+    """Row-for-row equality of two frames' detections, every float bit for bit."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.frame, a.class_id) == (b.frame, b.class_id)
+        assert (np.array([a.score, *a.center, a.depth, *a.offset, a.polygon.area]).tobytes()
+                == np.array([b.score, *b.center, b.depth, *b.offset, b.polygon.area]).tobytes())
+        assert a.polygon.vertices.tobytes() == b.polygon.vertices.tobytes()
+
+
+# each noise knob at a non-zero value; the oracle test also sets each to zero
+NOISE_KNOBS = {"drop_prob": 0.4, "fp_prob": 0.5, "center_jitter_sigma": 1.0,
+               "offset_noise_sigma": 0.5}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_perturb_equals_per_object_oracle(kind):
+    sc = build_scenario(kind, 3, 16, 288, 160, 21)
+    gt = generate(sc)
+    for k, on in enumerate(itertools.product((False, True), repeat=len(NOISE_KNOBS))):
+        noise = NoiseParams(prev_frame_lookback=1 + k % 3, **{
+            key: value if o else 0.0 for (key, value), o in zip(NOISE_KNOBS.items(), on)})
+        got = perturb(sc, gt, noise, 40 + k)
+        want = reference_perturb(sc, gt, noise, 40 + k)
+        assert len(got) == len(want) == len(gt)
+        for frame_got, frame_want in zip(got, want):
+            assert_same_detections(frame_got, frame_want)
 
 
 def test_identity_noise_linear_tracking_is_perfect():

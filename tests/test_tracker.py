@@ -8,8 +8,8 @@ from polymot.errors import InvalidInputError
 from polymot.geometry import Point2, Polygon
 from polymot.simulator import (IDENTITY_NOISE, NoiseParams, build_scenario,
                                generate, perturb)
-from polymot.tracker import (Detection, Track, TrackerConfig, TrackState,
-                             Tracker, associate, run_sequence)
+from polymot.tracker import (Detection, DetectionBlock, Track, TrackerConfig,
+                             TrackState, Tracker, associate, run_sequence)
 from polymot.ukf import UkfParams
 
 from oracles import LinearKalman
@@ -302,6 +302,57 @@ class TestRunSequence:
             assert frames_seen == sorted(frames_seen)
             assert t.state in (TrackState.ACTIVE, TrackState.FROZEN,
                                TrackState.TERMINATED)
+
+
+class TestDetectionBlock:
+    def test_list_of_detections_keeps_its_records(self):
+        dets = [det(2, 10, 10, offset=(-1, 2), score=0.4), det(2, 40, 30, class_id=3)]
+        block = DetectionBlock.of(dets)
+        assert len(block) == 2 and list(block) == dets and block[1] is dets[1]
+        assert block.frame.tolist() == [2, 2] and block.class_id.tolist() == [0, 3]
+        assert block.prev.tolist() == [[9.0, 12.0], [40.0, 30.0]]
+        assert block.area.tolist() == [256.0, 256.0]
+        assert np.array_equal(block.rings, np.stack([d.polygon.vertices for d in dets]))
+        assert block.take(np.array([1]))[0] is dets[1]
+        assert DetectionBlock.of(block) is block
+
+    def test_rows_of_columns_are_detections(self):
+        dets = [det(0, 10, 10), det(0, 40, 30, score=0.5), det(3, 5, 6, offset=(1, 1))]
+        rows = DetectionBlock.of(dets)
+        block = DetectionBlock(rows.frame, rows.class_id, rows.score, rows.center,
+                               rows.offset, rows.depth, rows.rings)
+        assert list(block.by_frame()) == [0, 3]
+        assert [len(v) for v in block.by_frame().values()] == [2, 1]
+        for got, want in zip(block, dets):
+            assert (got.frame, got.class_id, got.score, got.center, got.depth, got.offset) == (
+                want.frame, want.class_id, want.score, want.center, want.depth, want.offset)
+            assert np.array_equal(got.polygon.vertices, want.polygon.vertices)
+            assert got.polygon.area == want.polygon.area
+        assert block.first_invalid() is None
+        bad = DetectionBlock(rows.frame, rows.class_id, np.array([0.5, 2.0, 0.5]),
+                             rows.center, rows.offset, rows.depth, rows.rings)
+        assert bad.first_invalid() == (1, "score 2.0 outside [0, 1]")
+
+    def test_blocks_and_lists_track_alike(self):
+        sc = build_scenario("random_walk", 6, 60, 320, 200, 3)
+        blocks = perturb(sc, generate(sc), NoiseParams(), 4)
+        lists = [list(frame) for frame in blocks]
+        for cfg in (TrackerConfig(max_age=5), TrackerConfig(use_ukf=False, score_min=0.5)):
+            a, b = Tracker(cfg), Tracker(cfg)
+            for f, (rows, dets) in enumerate(zip(blocks, lists)):
+                assert a.step(rows, f) == b.step(dets, f)
+            for ta, tb in zip(a.all_tracks(), b.all_tracks(), strict=True):
+                assert (ta.id, ta.state, ta.ref_center) == (tb.id, tb.state, tb.ref_center)
+                assert [f for f, _ in ta.history] == [f for f, _ in tb.history]
+                assert np.array_equal(ta.filter_mean, tb.filter_mean)
+
+    def test_associate_takes_blocks(self):
+        tracks = [track_at(1, 8, 9), track_at(4, 40, 40)]
+        rows = DetectionBlock.of([det(1, 41, 40), det(1, 10, 10, offset=(-2, -1))])
+        out = associate(rows, tracks)
+        assert out.matches == [(0, 4), (1, 1)]
+        assert out.unmatched_detections == [] and out.unmatched_tracks == []
+        assert out.det.tolist() == [0, 1] and out.trk.tolist() == [1, 0]
 
 
 def test_noisy_long_sequence_keeps_lifecycle_invariants():
