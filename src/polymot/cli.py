@@ -18,7 +18,7 @@ from .errors import InvalidInputError, ParseError, PolymotError
 from .geometry import centroid, polygonize
 from .metrics import Frame, evaluate
 from .simulator import build_scenario, generate, perturb
-from .tracker import Tracker
+from .tracker import run_sequence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,18 +98,8 @@ def _cmd_track(args) -> int:
     tracker_cfg = cfg.tracker
     if args.no_ukf:
         tracker_cfg = replace(tracker_cfg, use_ukf=False)
-    frames = pio.parse_detections(args.dets)
-    tracker = Tracker(tracker_cfg)
-    present = list(frames)  # ascending, as the file is in frame order
-    for frame, end in zip(present, [*present[1:], present[-1] + 1] if present else []):
-        tracker.step(frames[frame], frame)
-        # the empty frames up to the next detections: with no live track,
-        # stepping one changes nothing
-        frame += 1
-        while frame < end and tracker.tracks:
-            tracker.step([], frame)
-            frame += 1
-    pio.write_results(tracker.all_tracks(), cfg.width, cfg.height, args.out)
+    tracks = run_sequence(pio.parse_detections(args.dets), tracker_cfg)
+    pio.write_results(tracks, cfg.width, cfg.height, args.out)
     return 0
 
 

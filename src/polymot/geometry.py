@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,21 +166,16 @@ def scanline_spans(rings: Sequence[np.ndarray], width: int, height: int
     return ring, row, start[keep], stop[keep]
 
 
-def fill_polygon(target: np.ndarray, p: Polygon,
-                 value) -> Optional[tuple[int, int, int, int]]:
+def fill_polygon(target: np.ndarray, p: Polygon, value) -> None:
     """Scanline fill with the even-odd rule, sampled at pixel centers.
 
     Sets target[j, i] = value iff pixel (i, j) is inside p by the rule of
     :func:`scanline_spans`, of which this is the one-ring case.  Pixels
-    outside the (height, width) target are clipped.  Returns the window
-    (x0, x1, y0, y1) of the pixels it set; None means it set none.
+    outside the (height, width) target are clipped.
     """
     height, width = target.shape
     _, rows, x0, x1 = scanline_spans([p.vertices], width, height)
-    if rows.size == 0:
-        return None
     target[np.repeat(rows, x1 - x0), run_pixels(x0, x1)] = value
-    return int(x0.min()), int(x1.max()), int(rows[0]), int(rows[-1]) + 1
 
 
 def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:

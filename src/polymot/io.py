@@ -445,10 +445,10 @@ def format_report_kv(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: MetricsReport, path: str, kv_path: Optional[str] = None) -> None:
+def write_report(report: MetricsReport, path: str, kv_path: str) -> None:
+    """The text report at ``path`` and its key=value form at ``kv_path``."""
     atomic_write_text(path, format_report(report))
-    if kv_path is not None:
-        atomic_write_text(kv_path, format_report_kv(report))
+    atomic_write_text(kv_path, format_report_kv(report))
 
 
 def parse_report_kv(path: str) -> dict[str, float]:

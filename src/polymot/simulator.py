@@ -1,10 +1,11 @@
 """Seeded synthetic scenes and a detector noise model.
 
 Stands in for a real detector: scenarios describe objects with analytic
-shapes following Newtonian trajectories; ``generate`` renders their masks
-and derives ground-truth polygons; ``perturb`` turns ground truth into
-noisy detections (omissions, center jitter, false positives, offset
-noise).  Everything is a pure function of the scenario and noise seeds.
+shapes moving at constant velocity or along an explicit per-frame path;
+``generate`` renders their masks and derives ground-truth polygons;
+``perturb`` turns ground truth into noisy detections (omissions, center
+jitter, false positives, offset noise).  Everything is a pure function of
+the scenario and noise seeds.
 
 Scenario kinds cover the association failure modes a frozen track can hit:
 an occluded object reappearing far from where it froze (optionally with an
@@ -31,28 +32,31 @@ SHAPES = ("rectangle", "ellipse")
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """One simulated object: analytic shape plus a kinematic trajectory.
+    """One simulated object: analytic shape plus a trajectory.
 
-    The object exists on frames [enter_frame, exit_frame) minus the
-    ``hidden`` window (full occlusion), and only while its mask intersects
-    the image.  ``path`` overrides the closed-form trajectory with explicit
-    per-frame centers (used by the random-walk kind).
+    The object moves from ``start`` at constant ``velocity`` (px/frame),
+    or through the explicit per-frame centers of ``path`` (used by the
+    random-walk kind).  It exists from ``enter_frame`` to the end of the
+    scene minus the ``hidden`` window (full occlusion), and only while its
+    mask intersects the image.
     """
 
     shape: str
     size: tuple[float, float]
     start: tuple[float, float]
     velocity: tuple[float, float]
-    accel: tuple[float, float] = (0.0, 0.0)
     class_id: int = 0
     enter_frame: int = 0
-    exit_frame: Optional[int] = None
     hidden: Optional[tuple[int, int]] = None
     path: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise InvalidInputError(f"unknown shape {self.shape!r}")
+        for name in ("size", "start", "velocity", "path"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise InvalidInputError(f"object {name} must be finite")
         if not (self.size[0] > 0 and self.size[1] > 0):
             raise InvalidInputError("object size must be positive")
 
@@ -60,41 +64,34 @@ class ObjectSpec:
         if self.path is not None:
             return float(self.path[frame][0]), float(self.path[frame][1])
         t = float(frame - self.enter_frame)
-        return (self.start[0] + self.velocity[0] * t + 0.5 * self.accel[0] * t * t,
-                self.start[1] + self.velocity[1] * t + 0.5 * self.accel[1] * t * t)
+        return self.start[0] + self.velocity[0] * t, self.start[1] + self.velocity[1] * t
 
-    def present_at(self, frame: int, n_frames: int) -> bool:
+    def present_at(self, frame: int) -> bool:
+        """Whether the object exists on ``frame`` of the scene."""
         if frame < self.enter_frame:
             return False
-        if frame >= (self.exit_frame if self.exit_frame is not None else n_frames):
-            return False
-        if self.hidden is not None and self.hidden[0] <= frame < self.hidden[1]:
-            return False
-        return True
+        return self.hidden is None or not self.hidden[0] <= frame < self.hidden[1]
+
+
+# an object drops out of the ground truth while less than this fraction of
+# its analytic area is inside the image (annotators and detectors both
+# ignore slivers)
+MIN_VISIBILITY = 0.25
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Concrete scene description; ``min_visibility`` drops an object from
-    the ground truth while less than that fraction of its analytic area is
-    inside the image (annotators and detectors both ignore slivers)."""
+    """Concrete scene description: a width x height image, ``n_frames``
+    frames and the objects in id order (object k has id k + 1)."""
 
-    kind: str
     width: int
     height: int
     n_frames: int
-    seed: int
     objects: tuple[ObjectSpec, ...]
-    n_vertices: int = DEFAULT_VERTEX_COUNT
-    min_visibility: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise InvalidInputError(f"unknown scenario kind {self.kind!r}")
         if self.n_frames < 2:
             raise InvalidInputError("scenarios need at least 2 frames")
-        if not (0.0 <= self.min_visibility <= 1.0):
-            raise InvalidInputError("min_visibility must be a fraction")
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
         entries: list[GroundTruthObject] = []
         frames.append(entries)
         for oid, obj in enumerate(sc.objects, start=1):
-            if not obj.present_at(frame, sc.n_frames):
+            if not obj.present_at(frame):
                 continue
             cx, cy = obj.center_at(frame)
             mask, origin = shape_mask(obj.shape, cx, cy, obj.size[0], obj.size[1],
@@ -201,7 +198,7 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
                     raise InvalidInputError(
                         f"object {oid} starts outside the {sc.width}x{sc.height} image")
                 continue
-            if visible < sc.min_visibility * _analytic_area(obj):
+            if visible < MIN_VISIBILITY * _analytic_area(obj):
                 continue
             block.append((entries, oid, obj.class_id, mask, origin))
             if len(block) == GT_BLOCK:
@@ -213,7 +210,8 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
 def _append_ground_truth(block, sc: Scenario) -> None:
     """Polygonize a block of object windows, append each object to its
     frame's entries, and empty the block."""
-    rings = polygonize_windows([b[3] for b in block], [b[4] for b in block], sc.n_vertices)
+    rings = polygonize_windows([b[3] for b in block], [b[4] for b in block],
+                               DEFAULT_VERTEX_COUNT)
     centers = rings.mean(axis=1).tolist()  # each ring's centroid
     for (entries, oid, class_id, _, _), poly, (cx, cy) in zip(
             block, Polygon.stack(rings), centers):
@@ -221,18 +219,6 @@ def _append_ground_truth(block, sc: Scenario) -> None:
             id=oid, class_id=class_id, center=Point2(cx, cy), polygon=poly,
             depth=float(sc.height) - cy))
     block.clear()
-
-
-def _true_center_index(sc: Scenario) -> dict[int, dict[int, tuple[float, float]]]:
-    """Analytic center per object per present frame (offset ground truth)."""
-    index: dict[int, dict[int, tuple[float, float]]] = {}
-    for oid, obj in enumerate(sc.objects, start=1):
-        per = {}
-        for frame in range(sc.n_frames):
-            if obj.present_at(frame, sc.n_frames):
-                per[frame] = obj.center_at(frame)
-        index[oid] = per
-    return index
 
 
 def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> np.ndarray:
@@ -246,16 +232,17 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
 
     Per object-frame: omitted with ``drop_prob``; survivors get an
     isotropic Gaussian center jitter (polygon translated along with it), a
-    score from U(0.7, 1.0), and an offset toward their center
-    ``prev_frame_lookback`` frames back (0 when absent there) plus Gaussian
-    noise.  Per frame, one false positive appears with ``fp_prob``: a small
-    ellipse at a uniform location with score U(0.3, 0.6).
+    score from U(0.7, 1.0), and an offset from the object's analytic
+    center (``ObjectSpec.center_at``) toward its analytic center
+    ``prev_frame_lookback`` frames back (0 when the object is absent there
+    or that frame precedes the scene) plus Gaussian noise.  Per frame, one
+    false positive appears with ``fp_prob``: a small ellipse at a uniform
+    location with score U(0.3, 0.6).
 
     The detections of all frames are one DetectionBlock; the result holds
     its rows of each frame of ``gt_frames``, in order.
     """
     rng = np.random.default_rng(seed)
-    centers = _true_center_index(sc)
     jitter_px = noise.center_jitter_sigma * noise.downsample
     lb = noise.prev_frame_lookback
 
@@ -269,10 +256,10 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
             if rng.random() < noise.drop_prob:
                 continue
             jx, jy = rng.normal(0.0, jitter_px, 2) if jitter_px > 0 else (0.0, 0.0)
-            true_now = centers[gt.id][frame]
-            true_prev = centers[gt.id].get(frame - lb)
-            if true_prev is not None:
-                off = offset_target(Point2(*true_now), Point2(*true_prev))
+            obj = sc.objects[gt.id - 1]
+            if frame >= lb and obj.present_at(frame - lb):
+                off = offset_target(Point2(*obj.center_at(frame)),
+                                    Point2(*obj.center_at(frame - lb)))
             else:
                 off = (0.0, 0.0)
             if noise.offset_noise_sigma > 0:
@@ -295,14 +282,14 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
                 off = (ox, oy)
             heads.append((frame, 0))
             values.append((score, fx, fy, float(sc.height) - fy, *off))
-            rings.append(_ellipse_ring(fx, fy, a, b, sc.n_vertices))
+            rings.append(_ellipse_ring(fx, fy, a, b, DEFAULT_VERTEX_COUNT))
             shifts.append((0.0, 0.0))
         starts.append(len(heads))
 
     n = len(heads)
     ints = np.array(heads, dtype=np.int64).reshape(n, 2)
     cols = np.array(values, dtype=np.float64).reshape(n, 6)
-    stack = np.array(rings) if n else np.empty((0, sc.n_vertices, 2))
+    stack = np.array(rings) if n else np.empty((0, DEFAULT_VERTEX_COUNT, 2))
     stack += np.array(shifts).reshape(n, 1, 2)
     block = DetectionBlock(ints[:, 0], ints[:, 1], cols[:, 0], cols[:, 1:3], cols[:, 4:6],
                            cols[:, 3], stack)
@@ -342,8 +329,7 @@ def build_scenario(kind: str, n_objects: int, n_frames: int, width: int,
         "random_walk": _build_random_walk,
     }[kind]
     objects, frames = builder(n_objects, n_frames, width, height, rng)
-    return Scenario(kind=kind, width=width, height=height, n_frames=frames,
-                    seed=seed, objects=tuple(objects))
+    return Scenario(width=width, height=height, n_frames=frames, objects=tuple(objects))
 
 
 def _build_linear(n_objects, n_frames, width, height, rng):

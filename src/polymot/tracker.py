@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class Track:
     state: TrackState
     ref_center: Point2
     polygon: Polygon
-    depth: float
     filter_mean: np.ndarray
     filter_cov: np.ndarray
     age: int = 0  # consecutive unmatched frames while frozen
@@ -254,10 +253,6 @@ class Track:
     @property
     def filter(self) -> ukf.FilterState:
         return ukf.FilterState.from_axes(self.filter_mean, self.filter_cov)
-
-    @property
-    def live(self) -> bool:
-        return self.state is not TrackState.TERMINATED
 
 
 @dataclass(frozen=True)
@@ -462,7 +457,6 @@ class Tracker:
             t.age = 0
             t.ref_center = d.center
             t.polygon = d.polygon
-            t.depth = d.depth
             t.history.append((frame, d))
 
         dead = []  # positions of the tracks that terminate
@@ -491,8 +485,7 @@ class Tracker:
                 self._covs[slot] = covs[i]
                 tracks.append(Track(id=self._next_id, class_id=d.class_id,
                                     state=TrackState.ACTIVE, ref_center=d.center,
-                                    polygon=d.polygon, depth=d.depth,
-                                    filter_mean=self._means[slot],
+                                    polygon=d.polygon, filter_mean=self._means[slot],
                                     filter_cov=self._covs[slot], history=[(frame, d)]))
                 self._next_id += 1
 
@@ -510,16 +503,31 @@ class Tracker:
         return sorted(self.finished + self.tracks, key=lambda t: t.id)
 
 
-def run_sequence(frames: Sequence[Union[DetectionBlock, Sequence[Detection]]],
+Rows = Union[DetectionBlock, Sequence[Detection]]
+
+
+def run_sequence(frames: Union[Sequence[Rows], Mapping[int, Rows]],
                  config: Optional[TrackerConfig] = None) -> list[Track]:
     """Drive a tracker over ordered per-frame detection rows.
+
+    ``frames`` is either a list whose item k holds frame k's rows, or a map
+    {frame: rows} in ascending frame order, as ``io.parse_detections``
+    returns it.  A frame missing from the map is stepped with no rows while
+    a track is live; once none is, stepping one changes nothing, so the
+    rest of the gap is skipped.
 
     Returns every track ever created, in id order; only the active
     (detection) entries of a track's history carry output masks.
     """
+    items = frames.items() if isinstance(frames, Mapping) else enumerate(frames)
     tracker = Tracker(config)
-    for frame, dets in enumerate(frames):
-        tracker.step(dets, frame)
+    gap = None  # the first frame not yet stepped
+    for frame, rows in items:
+        while gap is not None and gap < frame and tracker.tracks:
+            tracker.step([], gap)
+            gap += 1
+        tracker.step(rows, frame)
+        gap = frame + 1
     return tracker.all_tracks()
 
 

@@ -110,20 +110,22 @@ def _symmetrize(covs: np.ndarray) -> np.ndarray:
     return 0.5 * (covs + np.swapaxes(covs, -1, -2))
 
 
-def batch_predict(means: np.ndarray, covs: np.ndarray, p: UkfParams,
-                  dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate stacked beliefs one step of constant-acceleration dynamics.
+# the per-axis transition and process-noise shape g g^T of one frame
+_TRANSITION = np.array([[1.0, 1.0, 0.5],
+                        [0.0, 1.0, 1.0],
+                        [0.0, 0.0, 1.0]])
+_NOISE_SHAPE = np.outer([0.5, 1.0, 1.0], [0.5, 1.0, 1.0])
 
-    Per axis, the Newton step [p + v dt + a dt^2/2, v + a dt, a] and the
-    process noise Q = q g g^T with g = (dt^2/2, dt, 1).
+
+def batch_predict(means: np.ndarray, covs: np.ndarray,
+                  p: UkfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate stacked beliefs one frame of constant-acceleration dynamics.
+
+    Per axis, the Newton step [p + v + a/2, v + a, a] and the process noise
+    Q = q g g^T with g = (1/2, 1, 1); the frame is the unit of time.
     """
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
-    f = np.array([[1.0, dt, 0.5 * dt * dt],
-                  [0.0, 1.0, dt],
-                  [0.0, 0.0, 1.0]])
-    g = np.array([0.5 * dt * dt, dt, 1.0])
-    covs = f @ covs @ f.T + p.q_accel * np.outer(g, g)
+    f = _TRANSITION
+    covs = f @ covs @ f.T + p.q_accel * _NOISE_SHAPE
     return means @ f.T, _symmetrize(covs)
 
 
@@ -151,8 +153,8 @@ def birth(center: Point2, p: UkfParams) -> FilterState:
     return FilterState.from_axes(means[0], covs[0])
 
 
-def predict(s: FilterState, p: UkfParams, dt: float = 1.0) -> FilterState:
-    means, covs = batch_predict(*_axes(s), p, dt)
+def predict(s: FilterState, p: UkfParams) -> FilterState:
+    means, covs = batch_predict(*_axes(s), p)
     return FilterState.from_axes(means[0], covs[0])
 
 

@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from polymot.errors import InvalidInputError, ParseError
-from polymot.geometry import Point2, Polygon
+from polymot.geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon
 from polymot.losses import offset_target
-from polymot.simulator import (GroundTruthObject, NoiseParams, Scenario,
-                               _true_center_index)
+from polymot.simulator import GroundTruthObject, NoiseParams, Scenario
 from polymot.tracker import CENTER_TOLERANCE_FRAC, CENTER_TOLERANCE_PX, Detection
 
 
@@ -260,7 +259,6 @@ def reference_perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObje
     ellipse at a uniform location with score U(0.3, 0.6).
     """
     rng = np.random.default_rng(seed)
-    centers = _true_center_index(sc)
     jitter_px = noise.center_jitter_sigma * noise.downsample
     lb = noise.prev_frame_lookback
 
@@ -272,10 +270,10 @@ def reference_perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObje
                 continue
             jx, jy = rng.normal(0.0, jitter_px, 2) if jitter_px > 0 else (0.0, 0.0)
             center = Point2(gt.center.x + jx, gt.center.y + jy)
-            true_now = centers[gt.id][frame]
-            true_prev = centers[gt.id].get(frame - lb)
-            if true_prev is not None:
-                off = offset_target(Point2(*true_now), Point2(*true_prev))
+            obj = sc.objects[gt.id - 1]
+            if frame - lb >= 0 and obj.present_at(frame - lb):
+                off = offset_target(Point2(*obj.center_at(frame)),
+                                    Point2(*obj.center_at(frame - lb)))
             else:
                 off = (0.0, 0.0)
             if noise.offset_noise_sigma > 0:
@@ -298,7 +296,7 @@ def reference_perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObje
                 off = (ox, oy)
             dets.append(Detection(
                 frame=frame, class_id=0, score=score, center=Point2(fx, fy),
-                polygon=reference_ellipse_ring(fx, fy, a, b, sc.n_vertices),
+                polygon=reference_ellipse_ring(fx, fy, a, b, DEFAULT_VERTEX_COUNT),
                 depth=float(sc.height) - fy, offset=off))
         out.append(dets)
     return out

@@ -256,8 +256,8 @@ def test_rle_codec():
 
 def test_noise_model_calibration():
     start = time.perf_counter()
-    scenario = Scenario(kind="linear", width=64, height=64, n_frames=10000,
-                        seed=0, objects=(ObjectSpec(
+    scenario = Scenario(width=64, height=64, n_frames=10000,
+                        objects=(ObjectSpec(
                             shape="rectangle", size=(16, 12),
                             start=(32, 32), velocity=(0, 0)),))
     gt = generate(scenario)

@@ -11,6 +11,7 @@ import pytest
 
 from polymot import io as pio
 from polymot.cli import main
+from polymot.geometry import Polygon
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -211,6 +212,46 @@ def test_polygonize_command(tmp_path):
     assert len(lines) == 2
     assert lines[0].split()[0] == "box"
     assert len(lines[0].split()) == 1 + 2 * 16
+
+
+def test_polygonize_without_masks_exits_1(tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    (masks / "notes.txt").write_text("not a mask\n")
+    assert main(["polygonize", "--mask-dir", str(masks),
+                 "--out", str(tmp_path / "polys.txt")]) == 1
+    assert capsys.readouterr().err == f"polymot: error: no .pgm files in {masks}\n"
+    assert not (tmp_path / "polys.txt").exists()
+
+
+def test_simulate_without_scenario_section_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[noise]\ndrop_prob = 0.1\n")
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "d.txt"),
+                 "--gt", str(tmp_path / "g.txt")]) == 1
+    assert capsys.readouterr().err == f"polymot: error: {cfg} has no [scenario] section\n"
+
+
+def test_evaluate_dimension_mismatch_exits_1(tmp_path, capsys):
+    ring = Polygon(np.array([[4.0, 4.0], [12.0, 4.0], [12.0, 12.0], [4.0, 12.0]]))
+    gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+    pio.write_instance_records({0: [(1, 0, ring, 1.0)]}, 32, 24, str(gt))
+    pio.write_instance_records({0: [(1, 0, ring, 1.0)]}, 32, 16, str(results))
+    assert main(["evaluate", "--gt", str(gt), "--results", str(results),
+                 "--report", str(tmp_path / "report.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "polymot: error: dimension mismatch: gt (24, 32) vs results (16, 32)\n")
+
+
+def test_evaluate_two_empty_files_reports_zeros(tmp_path):
+    gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+    gt.write_text("")
+    results.write_text("")
+    report = tmp_path / "report.txt"
+    assert main(["evaluate", "--gt", str(gt), "--results", str(results),
+                 "--report", str(report)]) == 0
+    kv = pio.parse_report_kv(str(report) + ".kv")
+    assert len(kv) == 12 and set(kv.values()) == {0.0}
 
 
 def test_unknown_flag_exits_1(tmp_path):

@@ -217,23 +217,6 @@ class TestRasterize:
         assert np.array_equal(label, expected)
         assert len(np.unique(label)) == len(polys) + 1
 
-    def test_fill_window_holds_every_set_pixel(self):
-        rng = np.random.default_rng(23)
-        rings = [star_polygon(rng).vertices for _ in range(8)]
-        rings += [rng.uniform(-8, 40, (n, 2)) for n in (3, 5, 9, 14)]
-        rings += [np.array(pts, float) for pts in (
-            [[10.6, 2.0], [10.9, 2.0], [10.9, 29.0], [10.6, 29.0]],
-            [[2.0, 2.0], [29.0, 28.0], [2.1, 2.3]], [[40, -5], [60, 5], [45, 40]])]
-        for ring in rings:
-            target = np.zeros((32, 24), bool)
-            box = fill_polygon(target, Polygon(ring), True)
-            if box is None:
-                assert not target.any()
-                continue
-            x0, x1, y0, y1 = box
-            assert 0 <= x0 <= x1 <= 24 and 0 <= y0 <= y1 <= 32
-            assert target[y0:y1, x0:x1].sum() == target.sum()
-
     def test_bad_dims(self):
         with pytest.raises(InvalidInputError):
             rasterize(square(0, 0, 1, 1), 0, 4)
@@ -367,6 +350,8 @@ class TestPolygonize:
             polygonize_windows([box], [(0, 0)], 2)
         with pytest.raises(InvalidInputError):
             polygonize_windows([box, box], [(0, 0)], 8)
+        with pytest.raises(InvalidInputError, match="^polygonize windows must be 2-D$"):
+            polygonize_windows([box, np.ones((2, 3, 4), bool)], [(0, 0)] * 2, 8)
         assert polygonize_windows([], [], 16).shape == (0, 16, 2)
 
     def test_vertex_count_and_errors(self):

@@ -27,7 +27,7 @@ def gt_centers(frames, oid):
 
 class TestGenerate:
     def test_linear_centers_form_arithmetic_sequence(self):
-        sc = Scenario(kind="linear", width=256, height=128, n_frames=10, seed=0,
+        sc = Scenario(width=256, height=128, n_frames=10,
                       objects=(ObjectSpec(shape="rectangle", size=(20, 14),
                                           start=(40, 60), velocity=(2.0, 0.0)),))
         frames = generate(sc)
@@ -71,7 +71,7 @@ class TestGenerate:
             assert depths == sorted(depths, reverse=True)  # lower y = farther
 
     def test_initially_outside_rejected(self):
-        sc = Scenario(kind="linear", width=64, height=64, n_frames=4, seed=0,
+        sc = Scenario(width=64, height=64, n_frames=4,
                       objects=(ObjectSpec(shape="ellipse", size=(10, 10),
                                           start=(200, 200), velocity=(0, 0)),))
         with pytest.raises(InvalidInputError):
@@ -140,7 +140,7 @@ class TestPerturb:
                 assert d.frame == f and 0.7 <= d.score <= 1.0
 
     def test_identity_noise_offsets_are_exact(self):
-        sc = Scenario(kind="linear", width=256, height=128, n_frames=8, seed=0,
+        sc = Scenario(width=256, height=128, n_frames=8,
                       objects=(ObjectSpec(shape="rectangle", size=(20, 14),
                                           start=(40, 60), velocity=(3.0, 1.0)),))
         gt = generate(sc)
@@ -193,7 +193,7 @@ class TestPerturb:
                 assert np.allclose(d.polygon.vertices, g.polygon.vertices + shift)
 
     def test_empirical_rates(self):
-        sc = Scenario(kind="linear", width=64, height=64, n_frames=2500, seed=0,
+        sc = Scenario(width=64, height=64, n_frames=2500,
                       objects=(ObjectSpec(shape="rectangle", size=(16, 12),
                                           start=(32, 32), velocity=(0, 0)),))
         gt = generate(sc)
@@ -206,7 +206,7 @@ class TestPerturb:
         assert abs(fp_rate - 0.1) < 0.02
 
     def test_lookback_offsets_span_multiple_frames(self):
-        sc = Scenario(kind="linear", width=256, height=128, n_frames=8, seed=0,
+        sc = Scenario(width=256, height=128, n_frames=8,
                       objects=(ObjectSpec(shape="rectangle", size=(20, 14),
                                           start=(40, 60), velocity=(3.0, 1.0)),))
         gt = generate(sc)
@@ -278,7 +278,7 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         build_scenario("spiral", 1, 10, 128, 128, 0)
     with pytest.raises(InvalidInputError):
-        Scenario(kind="linear", width=64, height=64, n_frames=1, seed=0, objects=())
+        Scenario(width=64, height=64, n_frames=1, objects=())
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
@@ -302,3 +302,31 @@ def test_small_images_build_or_are_rejected(kind, width, height):
 def test_narrow_image_names_its_width(kind, width, height):
     with pytest.raises(InvalidInputError, match=f"image width {width} too small"):
         build_scenario(kind, 3, 10, width, height, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["size", "start", "velocity", "path"])
+def test_object_spec_rejects_non_finite_values(field, bad):
+    values = dict(shape="ellipse", size=(10.0, 8.0), start=(30.0, 20.0),
+                  velocity=(1.0, 0.5), path=np.full((4, 2), 20.0))
+    if field == "path":
+        values["path"][2, 1] = bad
+    else:
+        values[field] = (values[field][0], bad)
+    with pytest.raises(InvalidInputError, match=f"^object {field} must be finite$"):
+        ObjectSpec(**values)
+
+
+def test_object_spec_checks_shape_and_size():
+    with pytest.raises(InvalidInputError, match="^unknown shape 'hexagon'$"):
+        ObjectSpec(shape="hexagon", size=(10, 8), start=(30, 20), velocity=(1, 0))
+    for size in ((0.0, 8.0), (10.0, -1.0)):
+        with pytest.raises(InvalidInputError, match="^object size must be positive$"):
+            ObjectSpec(shape="rectangle", size=size, start=(30, 20), velocity=(1, 0))
+
+
+def test_noise_and_builder_bounds():
+    with pytest.raises(InvalidInputError, match="^downsample must be at least 1, got 0$"):
+        NoiseParams(downsample=0)
+    with pytest.raises(InvalidInputError, match="^need at least one object$"):
+        build_scenario("linear", 0, 10, 128, 128, 0)

@@ -1,13 +1,14 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from polymot.errors import InvalidInputError
 from polymot.geometry import Point2, Polygon
-from polymot.simulator import (IDENTITY_NOISE, NoiseParams, build_scenario,
-                               generate, perturb)
+from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, NoiseParams,
+                               build_scenario, generate, perturb)
 from polymot.tracker import (Detection, DetectionBlock, Track, TrackerConfig,
                              TrackState, Tracker, associate, run_sequence)
 from polymot.ukf import UkfParams
@@ -31,7 +32,7 @@ def track_at(tid, cx, cy, class_id=0):
     means, covs = ukf.batch_birth(np.array([[cx, cy]]), ukf.UkfParams())
     return Track(id=tid, class_id=class_id, state=TrackState.ACTIVE,
                  ref_center=Point2(cx, cy), polygon=ring_at(cx, cy),
-                 depth=1.0, filter_mean=means[0], filter_cov=covs[0])
+                 filter_mean=means[0], filter_cov=covs[0])
 
 
 class TestAssociate:
@@ -302,6 +303,29 @@ class TestRunSequence:
             assert frames_seen == sorted(frames_seen)
             assert t.state in (TrackState.ACTIVE, TrackState.FROZEN,
                                TrackState.TERMINATED)
+
+    def test_map_gap_without_live_tracks_is_skipped(self):
+        start = time.perf_counter()
+        tracks = run_sequence({0: [det(0, 15, 15)], 10 ** 9: [det(10 ** 9, 15, 15)]},
+                              TrackerConfig(max_age=3))
+        assert time.perf_counter() - start < 1.0
+        assert [t.id for t in tracks] == [1, 2]
+        assert [[f for f, _ in t.history] for t in tracks] == [[0, 1, 2, 3], [10 ** 9]]
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_map_of_non_empty_frames_tracks_like_the_list(self, kind):
+        sc = build_scenario(kind, 4, 40, 320, 200, 6)
+        frames = perturb(sc, generate(sc), NoiseParams(drop_prob=0.7, fp_prob=0.05), 8)
+        # the last frame stays in the map, so both end on the same frame
+        last = len(frames) - 1
+        present = {f: rows for f, rows in enumerate(frames) if len(rows) or f == last}
+        assert len(present) < len(frames)  # the map leaves frames out
+        cfg = TrackerConfig(max_age=2)
+        a, b = run_sequence(frames, cfg), run_sequence(present, cfg)
+        for ta, tb in zip(a, b, strict=True):
+            assert (ta.id, ta.state) == (tb.id, tb.state)
+            assert [f for f, _ in ta.history] == [f for f, _ in tb.history]
+            assert np.array_equal(ta.filter_mean, tb.filter_mean)
 
 
 class TestDetectionBlock:

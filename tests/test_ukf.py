@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ class TestStateBoundaries:
             predict(s, UkfParams())
         with pytest.raises(InvalidInputError):
             update(s, Point2(0, 0), UkfParams())
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        (np.zeros(4), np.eye(6), "filter state must be a 6-vector and 6x6 matrix"),
+        (np.zeros(6), np.eye(5), "filter state must be a 6-vector and 6x6 matrix"),
+        (np.array([0.0, 0.0, math.nan, 0.0, 0.0, 0.0]), np.eye(6),
+         "filter state must be finite"),
+        (np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, math.inf, 1.0]),
+         "filter state must be finite"),
+        (np.zeros(6), np.eye(6) + 1e-6 * np.eye(6, k=1),
+         "covariance must be symmetric within 1e-9"),
+    ])
+    def test_malformed_state_rejected(self, mean, cov, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            FilterState(mean, cov)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        means, covs = batch_birth(np.array([[1.0, 2.0], [3.0, 4.0]]), UkfParams())
+        with pytest.raises(InvalidInputError, match="^measurements must be finite$"):
+            batch_update(means, covs, np.array([[1.0, 2.0], [bad, 4.0]]), UkfParams())
 
     @pytest.mark.parametrize("p00", [-1.0, -3.0])
     def test_non_positive_innovation_variance_raises(self, p00):
@@ -128,10 +149,6 @@ class TestPredict:
         assert b.mean[0] - a.mean[0] == pytest.approx(10, abs=1e-9)
         assert b.mean[3] - a.mean[3] == pytest.approx(-5, abs=1e-9)
         assert np.allclose(a.cov, b.cov, atol=1e-9)
-
-    def test_requires_positive_dt(self):
-        with pytest.raises(InvalidInputError):
-            predict(birth(Point2(0, 0), UkfParams()), UkfParams(), dt=0.0)
 
 
 class TestUpdate:
