@@ -17,7 +17,6 @@ from .errors import (InvalidInputError, NumericalDegeneracyError, ParseError,
                      PolymotError)
 from .geometry import (Point2, Polygon, area, centroid, mask_iou, polygonize,
                        rasterize)
-from .heatmap import GaussianSpec, Heatmap, object_sigmas, render_prior, splat
 from .losses import LossWeights, focal_loss, l1_at_centers, offset_target, total_loss
 from .metrics import FrameMatch, MetricsReport, evaluate, flatten, match_frame
 from .rle import decode_rle, encode_rle
@@ -27,3 +26,13 @@ from .tracker import (Detection, Track, TrackerConfig, TrackState, Tracker,
 from .ukf import FilterState, UkfParams, birth, predict, update
 
 __version__ = "0.1.0"
+
+# no CLI stage uses the heatmaps, so their module loads on first access
+_HEATMAP_NAMES = ("GaussianSpec", "Heatmap", "object_sigmas", "render_prior", "splat")
+
+
+def __getattr__(name):
+    if name in _HEATMAP_NAMES:
+        from . import heatmap
+        return getattr(heatmap, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
+
 from . import io as pio
 from .errors import InvalidInputError, ParseError, PolymotError
 from .geometry import centroid, polygonize
@@ -37,7 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polymot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", help="generate a synthetic sequence")
+    p = sub.add_parser(
+        "simulate", help="generate a synthetic sequence",
+        description="Generate a synthetic sequence: its detections (--out) and "
+                    "ground-truth masks (--gt).  The scene is generated and both "
+                    "files written one block of frames at a time, through temp "
+                    "files that are renamed at the end; on an error neither file "
+                    "is written.")
     p.add_argument("--scenario", required=True, help="config file with a [scenario] section")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (overrides the scenario file)")
@@ -76,6 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    """Generate, perturb and write the scene one block of frames at a time.
+
+    Both files are written side by side through temp files that are renamed
+    when the last block is written, or removed if any block fails.  One
+    Generator is carried across the blocks, so the files equal those of the
+    whole scene generated, perturbed and written at once.
+    """
     cfg = pio.load_config(args.scenario)
     if cfg.scenario is None:
         raise InvalidInputError(f"{args.scenario} has no [scenario] section")
@@ -83,13 +98,20 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else sc_cfg.seed
     scenario = build_scenario(sc_cfg.kind, sc_cfg.n_objects, sc_cfg.n_frames,
                               sc_cfg.width, sc_cfg.height, seed)
-    gt = generate(scenario)
-    pio.write_detections(perturb(scenario, gt, cfg.noise, seed + 1), args.out)
-    per_frame = {
-        frame: [(g.id, g.class_id, g.polygon, g.depth) for g in entries]
-        for frame, entries in enumerate(gt)
-    }
-    pio.write_instance_records(per_frame, scenario.width, scenario.height, args.gt)
+    rng = np.random.default_rng(seed + 1)
+    # about FORMAT_BLOCK_ROWS object-frames a block: memory follows the block
+    step = max(1, pio.FORMAT_BLOCK_ROWS // max(1, len(scenario.objects)))
+    with pio.atomic_writers(args.out, args.gt) as (dets_out, gt_out):
+        for start in range(0, scenario.n_frames, step):
+            frames = range(start, min(start + step, scenario.n_frames))
+            gt = generate(scenario, frames)
+            pio.write_detections(perturb(scenario, gt, cfg.noise, rng, start),
+                                 dets_out)
+            per_frame = {
+                frame: [(g.id, g.class_id, g.polygon, g.depth) for g in entries]
+                for frame, entries in zip(frames, gt)
+            }
+            pio.write_instance_records(per_frame, scenario.width, scenario.height, gt_out)
     return 0
 
 

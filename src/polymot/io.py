@@ -26,7 +26,11 @@ order is reported with its line: a malformed line, a bad string, or a
 record claiming a pixel that an earlier record of its frame holds.  In
 both formats the error reported is the first in file order, with the
 message a line-by-line reader gives.  All writes go through a temp file
-and an atomic rename, and the large ones stream in bounded chunks.
+and an atomic rename, and the large ones stream in bounded chunks.  The
+writers take a path, or a text file held open by :func:`atomic_writers`:
+``polymot simulate`` holds its detection and ground-truth files open side
+by side and appends each block of frames to both; the temp files are
+renamed when the last block is written, or both removed if a block fails.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ import configparser
 import os
 import tempfile
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -51,22 +56,46 @@ from .tracker import (Detection, DetectionBlock, Track, TrackerConfig,
 from .ukf import UkfParams
 
 
+@contextmanager
+def atomic_writers(*paths: str) -> Iterator[list[TextIO]]:
+    """Text files written side by side: each goes to a temp file in its
+    path's directory.  On a clean exit every temp file is renamed onto its
+    path; if anything raises, every temp file is removed."""
+    handles: list[TextIO] = []
+    tmps: list[str] = []
+    try:
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", text=True)
+            tmps.append(tmp)
+            handles.append(os.fdopen(fd, "w"))
+        yield handles
+        for fh in handles:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for fh in handles:
+            fh.close()
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write whole-file atomically: temp file in the same directory, then
     rename.  ``text`` is the file's text or an iterable of its chunks."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_writers(path) as (fh,):
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _write_chunks(out: Union[str, TextIO], chunks: Iterable[str]) -> None:
+    """Stream text chunks to an open text file, or atomically to a path."""
+    if hasattr(out, "write"):
+        out.writelines(chunks)
+    else:
+        atomic_write_text(out, chunks)
 
 
 def _strip_comment(line: str) -> str:
@@ -186,10 +215,11 @@ def _detection_block(path: str, heads: list[tuple[int, int]], numbers: list[list
 
 
 def write_detections(frames: Iterable[Union[DetectionBlock, Sequence[Detection]]],
-                     path: str) -> None:
+                     out: Union[str, TextIO]) -> None:
     """Write per-frame detection rows, about ``FORMAT_BLOCK_ROWS`` rows per
-    chunk of text."""
-    atomic_write_text(path, _detection_chunks(frames))
+    chunk of text, atomically to the path ``out``, or appended to the open
+    text file ``out``."""
+    _write_chunks(out, _detection_chunks(frames))
 
 
 def _detection_chunks(frames: Iterable[Union[DetectionBlock, Sequence[Detection]]]
@@ -226,14 +256,16 @@ ENCODE_BLOCK_RUNS = 1 << 12
 
 
 def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
-                           width: int, height: int, path: str) -> None:
-    """Flatten each frame's instances to runs and write RLE lines.
+                           width: int, height: int, out: Union[str, TextIO]) -> None:
+    """Flatten each frame's instances to runs and write RLE lines,
+    atomically to the path ``out``, or appended to the open text file
+    ``out``.
 
     The strings of a block of frames, about ``ENCODE_BLOCK_RUNS`` runs, are
     encoded in one :func:`polymot.rle.encode_strings` call and their lines
     written before the next block is flattened.
     """
-    atomic_write_text(path, _instance_chunks(per_frame, width, height))
+    _write_chunks(out, _instance_chunks(per_frame, width, height))
 
 
 def _instance_chunks(per_frame: Mapping[int, Sequence[InstanceRecord]],

@@ -168,8 +168,8 @@ def flatten_frame(instances: Iterable[InstanceTriple],
     Every polygon's inside spans come from one :func:`scanline_spans` pass.
     They are painted farthest first, one assignment per polygon, into a
     column-major scratch label, so nearer instances overwrite farther ones;
-    then only the columns the spans touch are read back.  Instances left
-    with no visible pixels are omitted.
+    then only the painted pixels are read back, in index order.  Instances
+    left with no visible pixels are omitted.
     """
     items = list(instances)
     for iid, _, depth in items:
@@ -188,7 +188,7 @@ def flatten_frame(instances: Iterable[InstanceTriple],
                                         width, height)
     if ring.size == 0:
         return Frame.empty((height, width))
-    # column-major, so each column's strip is contiguous
+    # column-major, so sorted pixel indices read the frame's runs in order
     flat = np.zeros(height * width, dtype=np.int32)
     lengths = x1 - x0
     pixels = run_pixels(x0, x1) * height + np.repeat(rows, lengths)
@@ -197,18 +197,9 @@ def flatten_frame(instances: Iterable[InstanceTriple],
     for (iid, _, _), lo, hi in zip(items, bounds[:-1], bounds[1:]):
         if hi > lo:
             flat[pixels[lo:hi]] = rank[iid]
-    # each column's strip spans the row ranges of the polygons' boxes over it
-    first = np.flatnonzero(np.diff(ring, prepend=-1))
-    last = np.append(first[1:], ring.size) - 1
-    bx0, bx1 = np.minimum.reduceat(x0, first), np.maximum.reduceat(x1, first)
-    cols = run_pixels(bx0, bx1)
-    top = np.full(width, height)
-    bottom = np.zeros(width, dtype=top.dtype)
-    np.minimum.at(top, cols, np.repeat(rows[first], bx1 - bx0))
-    np.maximum.at(bottom, cols, np.repeat(rows[last] + 1, bx1 - bx0))
-    touched = np.flatnonzero(bottom > top)
-    # one ragged gather of every touched column's [top, bottom) strip
-    pixels = run_pixels(touched * height + top[touched], touched * height + bottom[touched])
+    # the painted pixels in column-major order, each once
+    pixels.sort()
+    pixels = pixels[np.diff(pixels, prepend=-1) != 0]
     starts, stops, labels = _read_runs(flat[pixels], pixels)
     visible = np.zeros(len(ids) + 1, dtype=bool)
     visible[labels] = True

@@ -5,7 +5,10 @@ shapes moving at constant velocity or along an explicit per-frame path;
 ``generate`` renders their masks and derives ground-truth polygons;
 ``perturb`` turns ground truth into noisy detections (omissions, center
 jitter, false positives, offset noise).  Everything is a pure function of
-the scenario and noise seeds.
+the scenario and noise seeds.  Both work on the whole scene or on a block
+of frames (``perturb`` with its Generator carried from block to block),
+and a scene walked block by block equals the whole-scene result, so
+``polymot simulate`` holds one block of frames in memory at a time.
 
 Scenario kinds cover the association failure modes a frozen track can hit:
 an occluded object reappearing far from where it froze (optionally with an
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,6 +95,11 @@ class Scenario:
     def __post_init__(self):
         if self.n_frames < 2:
             raise InvalidInputError("scenarios need at least 2 frames")
+        for oid, obj in enumerate(self.objects, start=1):
+            if obj.path is not None and np.shape(obj.path) != (self.n_frames, 2):
+                raise InvalidInputError(
+                    f"object {oid} path has shape {np.shape(obj.path)}, expected "
+                    f"({self.n_frames}, 2): one center per frame of the scene")
 
 
 @dataclass(frozen=True)
@@ -170,22 +178,27 @@ def _analytic_area(obj: ObjectSpec) -> float:
     return w * h if obj.shape == "rectangle" else math.pi * w * h / 4.0
 
 
-GT_BLOCK = 64  # object windows per polygonize_windows call; bounds simulate's memory
+GT_BLOCK = 64  # object windows per polygonize_windows call; bounds generate's memory
 
 
-def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
-    """Ground truth per frame; objects below the visibility floor are absent.
+def generate(sc: Scenario, frames: Optional[range] = None
+             ) -> list[list[GroundTruthObject]]:
+    """Ground truth per frame of ``frames`` (default: the whole scene);
+    objects below the visibility floor are absent.
 
     Depth encodes vertical position (lower in the image reads as nearer,
     i.e. a smaller depth value).  Centers are the polygon centroids, so the
     detector invariant holds by construction.  Object windows are
-    polygonized ``GT_BLOCK`` at a time, in frame and object order.
+    polygonized ``GT_BLOCK`` at a time, in frame and object order.  A
+    frame's objects do not depend on the other frames asked for, so a
+    scene generated one block of frames at a time equals the whole-scene
+    result.
     """
-    frames: list[list[GroundTruthObject]] = []
+    out: list[list[GroundTruthObject]] = []
     block: list[tuple[list[GroundTruthObject], int, int, np.ndarray, tuple[int, int]]] = []
-    for frame in range(sc.n_frames):
+    for frame in range(sc.n_frames) if frames is None else frames:
         entries: list[GroundTruthObject] = []
-        frames.append(entries)
+        out.append(entries)
         for oid, obj in enumerate(sc.objects, start=1):
             if not obj.present_at(frame):
                 continue
@@ -204,7 +217,7 @@ def generate(sc: Scenario) -> list[list[GroundTruthObject]]:
             if len(block) == GT_BLOCK:
                 _append_ground_truth(block, sc)
     _append_ground_truth(block, sc)
-    return frames
+    return out
 
 
 def _append_ground_truth(block, sc: Scenario) -> None:
@@ -227,7 +240,8 @@ def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> np.ndarra
 
 
 def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
-            noise: NoiseParams, seed: int) -> list[DetectionBlock]:
+            noise: NoiseParams, seed: Union[int, np.random.Generator],
+            first_frame: int = 0) -> list[DetectionBlock]:
     """Detector emulation: drop, jitter, and pollute the ground truth.
 
     Per object-frame: omitted with ``drop_prob``; survivors get an
@@ -239,8 +253,13 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
     false positive appears with ``fp_prob``: a small ellipse at a uniform
     location with score U(0.3, 0.6).
 
-    The detections of all frames are one DetectionBlock; the result holds
-    its rows of each frame of ``gt_frames``, in order.
+    ``gt_frames`` holds frames ``first_frame``, ``first_frame + 1``, ...
+    of the scene.  ``seed`` is an int, or a Generator carried from the
+    previous block of frames: its draws follow frame order, so a scene
+    perturbed one block at a time with one Generator equals the
+    whole-scene result.  The detections of all frames are one
+    DetectionBlock; the result holds its rows of each frame of
+    ``gt_frames``, in order.
     """
     rng = np.random.default_rng(seed)
     jitter_px = noise.center_jitter_sigma * noise.downsample
@@ -251,7 +270,7 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
     rings: list[np.ndarray] = []          # untranslated rings
     shifts: list[tuple[float, float]] = []
     starts = [0]
-    for frame, entries in enumerate(gt_frames):
+    for frame, entries in enumerate(gt_frames, start=first_frame):
         for gt in entries:
             if rng.random() < noise.drop_prob:
                 continue

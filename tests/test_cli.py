@@ -3,15 +3,19 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polymot import cli
 from polymot import io as pio
 from polymot.cli import main
 from polymot.geometry import Polygon
+from polymot.simulator import (NoiseParams, ObjectSpec, Scenario, build_scenario,
+                               generate, perturb)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -318,7 +322,7 @@ def test_negative_seed_fails_validation(tmp_path):
                  "--out", str(tmp_path / "d.txt"), "--gt", str(tmp_path / "g.txt")]) == 1
 
 
-STAGES_WITHOUT_MASKED_ARRAYS = """\
+FOUR_STAGES = """\
 import sys
 from polymot.cli import main
 for argv in (
@@ -328,19 +332,147 @@ for argv in (
     ["render", "--results", "results.txt", "--frame", "4", "--out", "frame.svg"],
 ):
     assert main(argv) == 0, argv
-sys.exit(3 if "numpy.ma" in sys.modules else 0)
 """
+STAGES_WITHOUT_MASKED_ARRAYS = FOUR_STAGES + 'sys.exit(3 if "numpy.ma" in sys.modules else 0)\n'
+STAGES_WITHOUT_HEATMAP = FOUR_STAGES + 'sys.exit(3 if "polymot.heatmap" in sys.modules else 0)\n'
 
 
-def test_cli_stages_do_not_import_numpy_ma(tmp_path):
-    # numpy's set routines (np.unique, np.isin, ...) import numpy.ma on first
-    # use, about 1.6 MB of resident memory for every stage process
+def run_python(tmp_path, script):
+    """Run ``script`` in a fresh interpreter on a tiny scene in ``tmp_path``."""
     (tmp_path / "run.cfg").write_text(
         "[scenario]\nkind = random_walk\nn_objects = 3\nn_frames = 8\n"
         "width = 64\nheight = 48\nseed = 2\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
-    proc = subprocess.run([sys.executable, "-c", STAGES_WITHOUT_MASKED_ARRAYS],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_stages_do_not_import_numpy_ma(tmp_path):
+    # numpy's set routines (np.unique, np.isin, ...) import numpy.ma on first
+    # use, about 1.6 MB of resident memory for every stage process
+    proc = run_python(tmp_path, STAGES_WITHOUT_MASKED_ARRAYS)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_stages_do_not_import_heatmap(tmp_path):
+    # the heatmap re-exports of the package load on first access only
+    proc = run_python(tmp_path, STAGES_WITHOUT_HEATMAP)
+    assert proc.returncode == 0, proc.stderr
+
+
+HEATMAP_ON_FIRST_ACCESS = """\
+import sys
+import polymot
+assert "polymot.heatmap" not in sys.modules
+from polymot import Heatmap
+import polymot.heatmap
+assert Heatmap is polymot.heatmap.Heatmap
+for name in ("GaussianSpec", "object_sigmas", "render_prior", "splat"):
+    assert getattr(polymot, name) is getattr(polymot.heatmap, name), name
+try:
+    polymot.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    sys.exit(4)
+"""
+
+
+def test_heatmap_names_load_on_first_access(tmp_path):
+    proc = run_python(tmp_path, HEATMAP_ON_FIRST_ACCESS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def simulate(tmp_path, cfg_text, tag=""):
+    """Run ``polymot simulate``; returns the exit code and the two paths."""
+    cfg = tmp_path / f"run{tag}.cfg"
+    cfg.write_text(cfg_text)
+    dets, gt = tmp_path / f"dets{tag}.txt", tmp_path / f"gt{tag}.txt"
+    code = main(["simulate", "--scenario", str(cfg), "--out", str(dets), "--gt", str(gt)])
+    return code, dets, gt
+
+
+def crosses_a_block_boundary(sc, block_frames):
+    """Whether an object enters inside a block, or its hidden window spans
+    the start of a block."""
+    for obj in sc.objects:
+        if obj.enter_frame % block_frames:
+            return True
+        if obj.hidden and any(f % block_frames == 0 for f in range(obj.hidden[0] + 1,
+                                                                  obj.hidden[1])):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind,n_objects,n_frames,seed", [
+    ("occlusion", 1, 40, 0), ("occlusion", 1, 40, 7),
+    ("boundary_exit_enter", 2, 30, 0), ("random_walk", 3, 23, 2)])
+@pytest.mark.parametrize("block_frames", [1, 5, 7])
+def test_streamed_files_equal_whole_scene_write(tmp_path, monkeypatch, kind, n_objects,
+                                                n_frames, seed, block_frames):
+    width, height = 288, 160
+    noise = NoiseParams(fp_prob=0.5, prev_frame_lookback=3)
+    sc = build_scenario(kind, n_objects, n_frames, width, height, seed)
+    if kind == "occlusion":
+        assert any(obj.hidden for obj in sc.objects)
+    if block_frames > 1:
+        assert sc.n_frames % block_frames
+        if kind != "random_walk":
+            assert crosses_a_block_boundary(sc, block_frames)
+    want_dets, want_gt = tmp_path / "want_dets.txt", tmp_path / "want_gt.txt"
+    gt = generate(sc)
+    pio.write_detections(perturb(sc, gt, noise, seed + 1), str(want_dets))
+    pio.write_instance_records(
+        {f: [(g.id, g.class_id, g.polygon, g.depth) for g in entries]
+         for f, entries in enumerate(gt)}, width, height, str(want_gt))
+
+    monkeypatch.setattr(pio, "FORMAT_BLOCK_ROWS", block_frames * len(sc.objects))
+    writes = []
+    write_detections = pio.write_detections
+    monkeypatch.setattr(pio, "write_detections",
+                        lambda *a: writes.append(1) or write_detections(*a))
+    code, dets, gt_path = simulate(tmp_path, (
+        f"[scenario]\nkind = {kind}\nn_objects = {n_objects}\nn_frames = {n_frames}\n"
+        f"width = {width}\nheight = {height}\nseed = {seed}\n"
+        f"[noise]\nfp_prob = 0.5\nprev_frame_lookback = 3\n"))
+    assert code == 0
+    assert len(writes) == -(-sc.n_frames // block_frames)
+    assert dets.read_bytes() == want_dets.read_bytes()
+    assert gt_path.read_bytes() == want_gt.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_scene(tmp_path):
+    def peak(n_frames):
+        tracemalloc.start()
+        try:
+            code, _, _ = simulate(tmp_path, (
+                f"[scenario]\nkind = random_walk\nn_objects = 8\nn_frames = {n_frames}\n"
+                f"width = 160\nheight = 120\nseed = 4\n"))
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate(tmp_path, RANDOM_WALK_CFG)  # first-call allocations are not the scene's
+    assert peak(400) < 1.25 * peak(100)
+
+
+def test_failure_in_a_late_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # object 2 enters wholly outside the image on frame 30, 7 blocks in
+    late = ObjectSpec(shape="rectangle", size=(10.0, 8.0), start=(-50.0, 40.0),
+                      velocity=(0.0, 0.0), enter_frame=30)
+    sc = build_scenario("linear", 1, 40, 128, 96, 1)
+    sc = Scenario(sc.width, sc.height, sc.n_frames, (*sc.objects, late))
+    monkeypatch.setattr(cli, "build_scenario", lambda *args: sc)
+    monkeypatch.setattr(pio, "FORMAT_BLOCK_ROWS", 8)  # 4 frames per block
+    writes = []
+    write_detections = pio.write_detections
+    monkeypatch.setattr(pio, "write_detections",
+                        lambda *a: writes.append(1) or write_detections(*a))
+    code, dets, gt = simulate(tmp_path, SCENARIO_CFG)
+    assert code == 1
+    assert len(writes) == 7
+    assert capsys.readouterr().err == (
+        "polymot: error: object 2 starts outside the 128x96 image\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]

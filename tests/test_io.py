@@ -611,3 +611,17 @@ class TestReports:
         pio.atomic_write_text(path, "two")
         assert open(path).read() == "two"
         assert [p for p in os.listdir(tmp_path)] == ["f.txt"]
+
+    def test_atomic_writers_side_by_side(self, tmp_path):
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        with pio.atomic_writers(a, b) as (fa, fb):
+            fa.write("one")
+            fb.write("two")
+            assert len(os.listdir(tmp_path)) == 2 and not os.path.exists(a)
+        assert (open(a).read(), open(b).read()) == ("one", "two")
+        with pytest.raises(RuntimeError):
+            with pio.atomic_writers(a, b) as (fa, fb):
+                fa.write("three")
+                raise RuntimeError
+        assert (open(a).read(), open(b).read()) == ("one", "two")
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]

@@ -330,3 +330,35 @@ def test_noise_and_builder_bounds():
         NoiseParams(downsample=0)
     with pytest.raises(InvalidInputError, match="^need at least one object$"):
         build_scenario("linear", 0, 10, 128, 128, 0)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (np.full((4, 2), 30.0), r"^object 2 path has shape \(4, 2\), expected \(10, 2\)"),
+    (np.full((10, 3), 30.0), r"^object 2 path has shape \(10, 3\), expected \(10, 2\)")])
+def test_path_must_hold_one_center_per_frame(rows, message):
+    fine = ObjectSpec(shape="ellipse", size=(10.0, 8.0), start=(30.0, 20.0),
+                      velocity=(0.0, 0.0), path=np.full((10, 2), 30.0))
+    bad = ObjectSpec(shape="ellipse", size=(10.0, 8.0), start=(30.0, 20.0),
+                     velocity=(0.0, 0.0), path=rows)
+    with pytest.raises(InvalidInputError, match=message):
+        Scenario(width=64, height=48, n_frames=10, objects=(fine, bad))
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("block_frames", [1, 5])
+def test_blocks_of_frames_equal_the_whole_scene(kind, block_frames):
+    sc = build_scenario(kind, 3, 23, 288, 160, 7)
+    noise = NoiseParams(fp_prob=0.5, prev_frame_lookback=2)
+    gt = generate(sc)
+    dets = perturb(sc, gt, noise, 11)
+    rng = np.random.default_rng(11)
+    for start in range(0, sc.n_frames, block_frames):
+        frames = range(start, min(start + block_frames, sc.n_frames))
+        gt_block = generate(sc, frames)
+        assert [[(g.id, g.center, g.depth, g.polygon.vertices.tobytes()) for g in e]
+                for e in gt_block] == [
+                    [(g.id, g.center, g.depth, g.polygon.vertices.tobytes()) for g in e]
+                    for e in gt[start:frames.stop]]
+        for got, want in zip(perturb(sc, gt_block, noise, rng, start), dets[start:frames.stop],
+                             strict=True):
+            assert_same_detections(got, want)
