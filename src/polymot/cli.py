@@ -18,7 +18,7 @@ import numpy as np
 from . import io as pio
 from .errors import InvalidInputError, ParseError, PolymotError
 from .geometry import centroid, polygonize
-from .metrics import Frame, evaluate
+from .metrics import Frame, InstanceBlock, evaluate
 from .simulator import build_scenario, generate, perturb
 from .tracker import run_sequence
 
@@ -107,11 +107,8 @@ def _cmd_simulate(args) -> int:
             gt = generate(scenario, frames)
             pio.write_detections(perturb(scenario, gt, cfg.noise, rng, start),
                                  dets_out)
-            per_frame = {
-                frame: [(g.id, g.class_id, g.polygon, g.depth) for g in entries]
-                for frame, entries in zip(frames, gt)
-            }
-            pio.write_instance_records(per_frame, scenario.width, scenario.height, gt_out)
+            pio.write_instance_records(InstanceBlock.concat(gt), scenario.width,
+                                       scenario.height, gt_out)
     return 0
 
 
@@ -131,15 +128,12 @@ def _cmd_evaluate(args) -> int:
     if gt_frames and hyp_frames and gt_dims != hyp_dims:
         raise InvalidInputError(
             f"dimension mismatch: gt {gt_dims} vs results {hyp_dims}")
-    all_frames = set(gt_frames) | set(hyp_frames)
-    if all_frames:
-        lo, hi = min(all_frames), max(all_frames)
-        empty = Frame.empty(gt_dims if gt_frames else hyp_dims)
-        gt_seq = [gt_frames.get(f, empty) for f in range(lo, hi + 1)]
-        hyp_seq = [hyp_frames.get(f, empty) for f in range(lo, hi + 1)]
-    else:
-        gt_seq, hyp_seq = [], []
-    report = evaluate(gt_seq, hyp_seq)
+    # a frame empty on both sides counts nothing, and identity switches key
+    # on each track's last match, so only the frames present are matched
+    frames = sorted(set(gt_frames) | set(hyp_frames))
+    empty = Frame.empty(gt_dims if gt_frames else hyp_dims)
+    report = evaluate([gt_frames.get(f, empty) for f in frames],
+                      [hyp_frames.get(f, empty) for f in frames])
     kv_path = args.report_kv if args.report_kv else args.report + ".kv"
     pio.write_report(report, args.report, kv_path)
     print(pio.format_report(report), end="")

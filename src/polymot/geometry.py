@@ -53,17 +53,6 @@ class Polygon:
         object.__setattr__(self, "area", float(polygon_areas(v[None])[0]))
 
     @classmethod
-    def stack(cls, rings: np.ndarray) -> list["Polygon"]:
-        """One Polygon per ring of an (m, n, 2) stack, each a view of it; the
-        rings are checked and their areas computed for the stack at once."""
-        rings = np.asarray(rings, dtype=np.float64)
-        if rings.ndim != 3 or rings.shape[2] != 2 or rings.shape[1] < 1:
-            raise InvalidInputError(f"polygon rings must be (m, n, 2), got {rings.shape}")
-        if not np.all(np.isfinite(rings)):
-            raise InvalidInputError("polygon vertices must be finite")
-        return list(map(cls.trusted, rings, polygon_areas(rings).tolist()))
-
-    @classmethod
     def trusted(cls, vertices: np.ndarray, area: float) -> "Polygon":
         """A Polygon of float64 (n, 2) vertices already checked finite and
         their shoelace area, without checking or computing either again."""
@@ -130,15 +119,21 @@ def scanline_spans(rings: Sequence[np.ndarray], width: int, height: int
     ``clip(ceil(xs - 0.5), 0, width)`` of its crossing point xs.  A closed
     ring crosses every row an even number of times, so the sorted crossings
     of each (ring, row) pair up into spans.  Rings may differ in vertex
-    count; a ring of fewer than 3 vertices covers nothing.
+    count; a ring of fewer than 3 vertices covers nothing.  An (m, n, 2)
+    array is taken as m rings of n vertices without a pass per ring.
 
     Returns (ring, row, x0, x1): the non-empty spans [x0, x1) of every ring
     inside the grid, sorted by ring, row and x0.
     """
-    rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for r in rings]
-    n = np.array([len(r) for r in rings], dtype=np.intp)
-    used = np.flatnonzero(n >= 3)
-    v = np.concatenate([rings[k] for k in used] + [np.empty((0, 2))])
+    if isinstance(rings, np.ndarray) and rings.ndim == 3:
+        n = np.full(len(rings), rings.shape[1], dtype=np.intp)
+        used = np.flatnonzero(n >= 3)
+        v = rings[used].reshape(-1, 2).astype(np.float64, copy=False)
+    else:
+        rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for r in rings]
+        n = np.array([len(r) for r in rings], dtype=np.intp)
+        used = np.flatnonzero(n >= 3)
+        v = np.concatenate([rings[k] for k in used] + [np.empty((0, 2))])
     ring = np.repeat(used, n[used])
     # each vertex's edge runs to the next vertex of its ring
     ends = np.cumsum(n[used])
@@ -234,22 +229,28 @@ def polygonize_windows(windows, origins, n_vertices: int = DEFAULT_VERTEX_COUNT
     ``windows[i]`` is a boolean window whose top-left pixel is the frame
     pixel ``origins[i]`` = (x0, y0) and which holds every set pixel of its
     object.  The windows are read from one flat buffer with per-window
-    offsets, so mixed sizes cost no padding.  Working memory is a few
-    arrays the size of the stack's pixels plus a few of ``RAY_CHUNK``
-    samples per ray, so a caller with many objects feeds them in blocks
-    (``simulator.generate`` stacks ``GT_BLOCK`` windows at a time).
+    offsets, so mixed sizes cost no padding.  ``windows`` may also be one
+    (m, H, W) boolean array; a window padded with False cells past its
+    object's gives the same ring, since a lookup outside a window reads
+    False too.  Working memory is a few arrays the size of the stack's
+    pixels plus a few of ``RAY_CHUNK`` samples per ray, so a caller with
+    many objects feeds them in blocks (as ``simulator.generate`` does).
     """
     if n_vertices < 3:
         raise InvalidInputError("polygonize needs at least 3 vertices")
-    masks = [np.asarray(w, dtype=bool) for w in windows]
-    m = len(masks)
+    if isinstance(windows, np.ndarray) and windows.ndim == 3:
+        masks = [windows.astype(bool, copy=False).ravel()]
+        h, w = (np.full(len(windows), k, dtype=np.int64) for k in windows.shape[1:])
+    else:
+        masks = [np.asarray(wd, dtype=bool) for wd in windows]
+        if any(mk.ndim != 2 for mk in masks):
+            raise InvalidInputError("polygonize windows must be 2-D")
+        h, w = np.array([mk.shape for mk in masks], dtype=np.int64).reshape(-1, 2).T
+    m = len(h)
     if len(origins) != m:
         raise InvalidInputError(f"{len(origins)} origins for {m} windows")
     if m == 0:
         return np.empty((0, n_vertices, 2))
-    if any(mk.ndim != 2 for mk in masks):
-        raise InvalidInputError("polygonize windows must be 2-D")
-    h, w = np.array([mk.shape for mk in masks], dtype=np.int64).T
     ox, oy = np.asarray(origins, dtype=np.int64).reshape(m, 2).T
     ends = np.cumsum(h * w)
     offsets = ends - h * w

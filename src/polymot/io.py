@@ -47,8 +47,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Unio
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .geometry import Polygon
-from .metrics import Frame, MetricsReport, Runs, flatten_frame, run_pixels
+from .metrics import (Frame, InstanceBlock, InstanceRecord, MetricsReport, Runs,
+                      flatten_frame, run_pixels)
 from .rle import RunLengthError, decode_strings, encode_strings
 from .simulator import SCENARIO_KINDS, NoiseParams
 from .tracker import (Detection, DetectionBlock, Track, TrackerConfig,
@@ -248,35 +248,38 @@ def _format_rows(block: DetectionBlock) -> str:
         block.frame.tolist(), block.class_id.tolist(), values.tolist())])
 
 
-# (track id, class id, polygon, depth) per frame
-InstanceRecord = tuple[int, int, "Polygon", float]
-
 # runs a block of frames collects before its strings are encoded
 ENCODE_BLOCK_RUNS = 1 << 12
 
 
-def write_instance_records(per_frame: Mapping[int, Sequence[InstanceRecord]],
-                           width: int, height: int, out: Union[str, TextIO]) -> None:
+def write_instance_records(
+        instances: Union[InstanceBlock, Mapping[int, Sequence[InstanceRecord]]],
+        width: int, height: int, out: Union[str, TextIO]) -> None:
     """Flatten each frame's instances to runs and write RLE lines,
     atomically to the path ``out``, or appended to the open text file
     ``out``.
 
-    The strings of a block of frames, about ``ENCODE_BLOCK_RUNS`` runs, are
-    encoded in one :func:`polymot.rle.encode_strings` call and their lines
-    written before the next block is flattened.
+    ``instances`` is an :class:`InstanceBlock`, or a mapping
+    {frame: [(id, class id, polygon, depth)]} whose frames are made into
+    blocks one at a time, so memory follows the frame.  The strings of a
+    block of frames, about ``ENCODE_BLOCK_RUNS`` runs, are encoded in one
+    :func:`polymot.rle.encode_strings` call and their lines written before
+    the next block is flattened.
     """
-    _write_chunks(out, _instance_chunks(per_frame, width, height))
+    if isinstance(instances, InstanceBlock):
+        frames = instances.by_frame().items()
+    else:
+        frames = ((f, InstanceBlock.of({f: instances[f]})) for f in sorted(instances))
+    _write_chunks(out, _instance_chunks(frames, width, height))
 
 
-def _instance_chunks(per_frame: Mapping[int, Sequence[InstanceRecord]],
-                     width: int, height: int) -> Iterator[str]:
+def _instance_chunks(frames: Iterable[tuple[int, InstanceBlock]], width: int,
+                     height: int) -> Iterator[str]:
     heads: list[str] = []
     starts, stops, counts = [], [], []
-    for frame in sorted(per_frame):
-        records = per_frame[frame]
-        classes = {iid: cls for iid, cls, _, _ in records}
-        flat = flatten_frame(
-            [(iid, poly, depth) for iid, _, poly, depth in records], width, height)
+    for frame, rows in frames:
+        classes = dict(zip(rows.id.tolist(), rows.class_id.tolist()))
+        flat = flatten_frame(rows, width, height)
         frame_starts, frame_stops, bounds = flat.label_runs()
         starts.append(frame_starts)
         stops.append(frame_stops)

@@ -1,6 +1,9 @@
 """Mask-based tracking-and-segmentation evaluation.
 
-A frame is its column-major runs, a :class:`Frame`: pixel (x, y) of an
+A frame's instances as polygons are an :class:`InstanceBlock`, columns
+of frame, id, class, center, depth and vertex ring whose rows read as
+:class:`GroundTruthObject`; :func:`flatten_frame` turns them into the
+frame's column-major runs, a :class:`Frame`: pixel (x, y) of an
 h x w frame has index x * h + y, and each run [start, stop) of indices
 carries a label k >= 1 that stands for instance ``ids[k - 1]``; ids
 ascend.  Runs are sorted, disjoint and maximal per label (two runs of one
@@ -18,19 +21,105 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Polygon, run_pixels, scanline_spans
+from .geometry import (DEFAULT_VERTEX_COUNT, Point2, Polygon, polygon_areas, run_pixels,
+                       scanline_spans)
 
 IOU_THRESHOLD = 0.5
 
 # (instance id, polygon, depth); depth orders overlaps, smaller = nearer
 InstanceTriple = tuple[int, Polygon, float]
+# (instance id, class id, polygon, depth) per frame
+InstanceRecord = tuple[int, int, Polygon, float]
 # (starts, stops) of one instance's runs, in pixel order
 Runs = tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class GroundTruthObject:
+    """One instance of a frame: a row of an :class:`InstanceBlock`."""
+
+    id: int
+    class_id: int
+    center: Point2
+    polygon: Polygon
+    depth: float
+
+
+# the columns of an InstanceBlock, in constructor order
+_INSTANCE_COLUMNS = ("frame", "id", "class_id", "center", "depth", "rings")
+
+
+class InstanceBlock:
+    """Instances as columns; row i is one instance, rows in frame order.
+
+    ``frame``, ``id``, ``class_id`` (n,) int64; ``center`` (n, 2), each
+    ring's vertex mean; ``depth`` (n,) float64, smaller = nearer; ``rings``
+    (n, V, 2).  The constructor checks nothing.  Iteration builds the rows
+    as :class:`GroundTruthObject` on demand.
+    """
+
+    __slots__ = _INSTANCE_COLUMNS
+
+    def __init__(self, frame: np.ndarray, id: np.ndarray, class_id: np.ndarray,
+                 center: np.ndarray, depth: np.ndarray, rings: np.ndarray):
+        self.frame, self.id, self.class_id = frame, id, class_id
+        self.center, self.depth, self.rings = center, depth, rings
+
+    @classmethod
+    def of(cls, instances: Mapping[int, Sequence[InstanceRecord]]) -> "InstanceBlock":
+        """The block of a {frame: [(id, class id, polygon, depth)]} mapping,
+        frames ascending."""
+        records = [(f, *r) for f in sorted(instances) for r in instances[f]]
+        n = len(records)
+        if not n:
+            rings = np.empty((0, DEFAULT_VERTEX_COUNT, 2))
+        else:
+            try:
+                rings = np.array([r[3].vertices for r in records], dtype=np.float64)
+            except ValueError:
+                raise InvalidInputError("instances of one block must share a "
+                                        "vertex count") from None
+        ints = np.array([r[:3] for r in records], dtype=np.int64).reshape(n, 3)
+        depth = np.array([r[4] for r in records], dtype=np.float64)  # None reads nan
+        return cls(ints[:, 0], ints[:, 1], ints[:, 2], rings.mean(axis=1), depth, rings)
+
+    @classmethod
+    def concat(cls, blocks: Sequence["InstanceBlock"]) -> "InstanceBlock":
+        """The rows of ``blocks``, one after another."""
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls.of({})
+        return cls(*(np.concatenate([getattr(b, name) for b in blocks])
+                     for name in _INSTANCE_COLUMNS))
+
+    def take(self, rows: Union[slice, np.ndarray]) -> "InstanceBlock":
+        """The block of the given rows (a slice or an index array), in that order."""
+        return InstanceBlock(*(getattr(self, name)[rows] for name in _INSTANCE_COLUMNS))
+
+    def by_frame(self) -> dict[int, "InstanceBlock"]:
+        """Each frame's rows, keyed by frame in row order."""
+        if not len(self):
+            return {}
+        cuts = (np.flatnonzero(self.frame[1:] != self.frame[:-1]) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, len(self)]
+        return {f: self.take(slice(a, b))
+                for f, a, b in zip(self.frame[starts].tolist(), starts, stops)}
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __iter__(self) -> Iterator[GroundTruthObject]:
+        for iid, cls, (cx, cy), depth, ring, a in zip(
+                self.id.tolist(), self.class_id.tolist(), self.center.tolist(),
+                self.depth.tolist(), self.rings, polygon_areas(self.rings).tolist()):
+            yield GroundTruthObject(id=iid, class_id=cls, center=Point2(cx, cy),
+                                    polygon=Polygon.trusted(ring, a), depth=depth)
 
 
 def _read_runs(values: np.ndarray, pixels=None) -> tuple[np.ndarray, ...]:
@@ -161,9 +250,10 @@ class MetricsReport:
         )
 
 
-def flatten_frame(instances: Iterable[InstanceTriple],
+def flatten_frame(instances: Union[InstanceBlock, Iterable[InstanceTriple]],
                   width: int, height: int) -> Frame:
-    """Depth-ordered runs of one frame's instances.
+    """Depth-ordered runs of one frame's instances: the rows of an
+    :class:`InstanceBlock`, or (id, polygon, depth) triples.
 
     Every polygon's inside spans come from one :func:`scanline_spans` pass.
     They are painted farthest first, one assignment per polygon, into a
@@ -171,32 +261,41 @@ def flatten_frame(instances: Iterable[InstanceTriple],
     then only the painted pixels are read back, in index order.  Instances
     left with no visible pixels are omitted.
     """
-    items = list(instances)
-    for iid, _, depth in items:
-        if depth is None or not np.isfinite(depth):
-            raise InvalidInputError(f"instance {iid} lacks a finite depth")
+    if isinstance(instances, InstanceBlock):
+        ids, rings, depths = instances.id.tolist(), instances.rings, instances.depth
+    else:
+        items = list(instances)
+        ids = [iid for iid, _, _ in items]
+        rings = [poly.vertices for _, poly, _ in items]
+        depths = np.array([depth for _, _, depth in items], dtype=np.float64)  # None: nan
+    bad = np.flatnonzero(~np.isfinite(depths))
+    if len(bad):
+        raise InvalidInputError(f"instance {ids[bad[0]]} lacks a finite depth")
     if width < 1 or height < 1:
         raise InvalidInputError("frame must be at least 1x1")
-    ids = sorted({iid for iid, _, _ in items})
-    if len(ids) < len(items):
-        dup = next(iid for iid, n in Counter(it[0] for it in items).items() if n > 1)
+    frame_ids = sorted(set(ids))
+    if len(frame_ids) < len(ids):
+        dup = next(iid for iid, n in Counter(ids).items() if n > 1)
         raise InvalidInputError(f"duplicate id {dup}")
-    rank = {iid: k for k, iid in enumerate(ids, start=1)}
     # farthest first; ties broken by id for determinism
-    items.sort(key=lambda it: (-it[2], it[0]))
-    ring, rows, x0, x1 = scanline_spans([poly.vertices for _, poly, _ in items],
-                                        width, height)
+    order = np.lexsort((ids, -depths))
+    if isinstance(rings, np.ndarray):
+        rings = rings[order]
+    else:
+        rings = [rings[k] for k in order.tolist()]
+    ring, rows, x0, x1 = scanline_spans(rings, width, height)
     if ring.size == 0:
         return Frame.empty((height, width))
+    rank = {iid: k for k, iid in enumerate(frame_ids, start=1)}
     # column-major, so sorted pixel indices read the frame's runs in order
     flat = np.zeros(height * width, dtype=np.int32)
     lengths = x1 - x0
     pixels = run_pixels(x0, x1) * height + np.repeat(rows, lengths)
     bounds = np.concatenate(([0], np.cumsum(lengths)))[
-        np.searchsorted(ring, np.arange(len(items) + 1))].tolist()
-    for (iid, _, _), lo, hi in zip(items, bounds[:-1], bounds[1:]):
+        np.searchsorted(ring, np.arange(len(ids) + 1))].tolist()
+    for k, lo, hi in zip(order.tolist(), bounds[:-1], bounds[1:]):
         if hi > lo:
-            flat[pixels[lo:hi]] = rank[iid]
+            flat[pixels[lo:hi]] = rank[ids[k]]
     # the painted pixels in column-major order, each once
     pixels.sort()
     pixels = pixels[np.diff(pixels, prepend=-1) != 0]
@@ -205,8 +304,8 @@ def flatten_frame(instances: Iterable[InstanceTriple],
     visible[labels] = True
     if not visible[1:].all():
         labels = np.cumsum(visible)[labels]
-        ids = [iid for iid, seen in zip(ids, visible[1:]) if seen]
-    return Frame((height, width), starts, stops, labels, ids)
+        frame_ids = [iid for iid, seen in zip(frame_ids, visible[1:]) if seen]
+    return Frame((height, width), starts, stops, labels, frame_ids)
 
 
 def flatten(frames: Sequence[Iterable[InstanceTriple]],

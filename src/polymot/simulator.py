@@ -2,9 +2,11 @@
 
 Stands in for a real detector: scenarios describe objects with analytic
 shapes moving at constant velocity or along an explicit per-frame path;
-``generate`` renders their masks and derives ground-truth polygons;
-``perturb`` turns ground truth into noisy detections (omissions, center
-jitter, false positives, offset noise).  Everything is a pure function of
+``generate`` samples every present object-frame's occupancy window in one
+broadcast and polygonizes the visible ones into ground-truth columns (an
+:class:`InstanceBlock`); ``perturb`` reads those columns and turns them
+into noisy detections (omissions, center jitter, false positives, offset
+noise).  Everything is a pure function of
 the scenario and noise seeds.  Both work on the whole scene or on a block
 of frames (``perturb`` with its Generator carried from block to block),
 and a scene walked block by block equals the whole-scene result, so
@@ -25,8 +27,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon, polygonize_windows
+from .geometry import DEFAULT_VERTEX_COUNT, Point2, polygonize_windows
 from .losses import offset_target
+from .metrics import GroundTruthObject, InstanceBlock  # noqa: F401  (generate's row type)
 from .tracker import DetectionBlock
 
 SCENARIO_KINDS = ("linear", "crossing", "occlusion", "boundary_exit_enter", "random_walk")
@@ -136,15 +139,6 @@ class NoiseParams:
             raise InvalidInputError(f"downsample must be at least 1, got {self.downsample}")
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
-    id: int
-    class_id: int
-    center: Point2
-    polygon: Polygon
-    depth: float
-
-
 IDENTITY_NOISE = NoiseParams(drop_prob=0.0, fp_prob=0.0,
                              center_jitter_sigma=0.0, offset_noise_sigma=0.0)
 
@@ -156,21 +150,44 @@ def shape_mask(shape: str, cx: float, cy: float, w: float, h: float,
     Returns ``(mask, (x0, y0))``: the occupancy over the shape's bounding
     box widened by 1 px and clipped to the image, and the window's top-left
     pixel.  Every covered pixel of the image lies in the window, which is
-    empty when the shape is wholly outside.
+    empty when the shape is wholly outside.  This is the one-shape case of
+    :func:`shape_windows`.
     """
-    x0 = min(max(int(math.floor(cx - w / 2.0)) - 1, 0), width)
-    y0 = min(max(int(math.floor(cy - h / 2.0)) - 1, 0), height)
-    x1 = min(max(int(math.ceil(cx + w / 2.0)) + 1, x0), width)
-    y1 = min(max(int(math.ceil(cy + h / 2.0)) + 1, y0), height)
-    px = np.arange(x0, x1) + 0.5
-    py = np.arange(y0, y1) + 0.5
-    if shape == "rectangle":
-        mask = ((np.abs(px[None, :] - cx) <= w / 2.0)
-                & (np.abs(py[:, None] - cy) <= h / 2.0))
-    else:
-        mask = ((px[None, :] - cx) ** 2 / (w / 2.0) ** 2
-                + (py[:, None] - cy) ** 2 / (h / 2.0) ** 2) <= 1.0
-    return mask, (x0, y0)
+    half = (w / 2.0, h / 2.0)
+    masks, origin = shape_windows(np.array([shape != "rectangle"]), np.array([[cx, cy]]),
+                                  np.array([half]), np.array([[half[0] ** 2, half[1] ** 2]]),
+                                  width, height)
+    return masks[0], (int(origin[0, 0]), int(origin[0, 1]))
+
+
+def shape_windows(ellipse: np.ndarray, center: np.ndarray, half: np.ndarray,
+                  half_sq: np.ndarray, width: int, height: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy of m rectangles or ellipses over their windows, in one
+    broadcast: ``(masks, origins)``, an (m, H, W) stack and its windows'
+    top-left pixels (m, 2).
+
+    Shape i is an ellipse where ``ellipse[i]``, else a rectangle, with
+    center ``center[i]``, semi-axes ``half[i]`` and their squares
+    ``half_sq[i]``.  Its window, bounds and pixel-center samples are
+    :func:`shape_mask`'s, with the same floats; cells past a window, up to
+    the stack's largest, are False.
+    """
+    size = (width, height)
+    lo = np.minimum(np.maximum(np.floor(center - half) - 1, 0), size)
+    hi = np.minimum(np.maximum(np.ceil(center + half) + 1, lo), size)
+    origin, extent = lo.astype(np.intp), (hi - lo).astype(np.intp)
+    cols, rows = (np.arange(n) for n in extent.max(axis=0, initial=0))
+    dx = (origin[:, :1] + cols) + 0.5 - center[:, :1]  # (m, W)
+    dy = (origin[:, 1:] + rows) + 0.5 - center[:, 1:]  # (m, H)
+    masks = np.empty((len(center), len(rows), len(cols)), dtype=bool)
+    box = ~ellipse
+    masks[box] = ((np.abs(dy[box]) <= half[box, 1:])[:, :, None]
+                  & (np.abs(dx[box]) <= half[box, :1])[:, None, :])
+    masks[ellipse] = ((dx[ellipse] ** 2 / half_sq[ellipse, :1])[:, None, :]
+                      + (dy[ellipse] ** 2 / half_sq[ellipse, 1:])[:, :, None]) <= 1.0
+    masks &= (rows < extent[:, 1:])[:, :, None] & (cols < extent[:, :1])[:, None, :]
+    return masks, origin
 
 
 def _analytic_area(obj: ObjectSpec) -> float:
@@ -178,60 +195,77 @@ def _analytic_area(obj: ObjectSpec) -> float:
     return w * h if obj.shape == "rectangle" else math.pi * w * h / 4.0
 
 
-GT_BLOCK = 64  # object windows per polygonize_windows call; bounds generate's memory
+# window cells per shape_windows broadcast and per polygonize_windows call;
+# they bound generate's memory
+GT_BLOCK_CELLS = 1 << 18
+POLYGONIZE_CELLS = 1 << 15
 
 
-def generate(sc: Scenario, frames: Optional[range] = None
-             ) -> list[list[GroundTruthObject]]:
+def generate(sc: Scenario, frames: Optional[range] = None) -> list[InstanceBlock]:
     """Ground truth per frame of ``frames`` (default: the whole scene);
     objects below the visibility floor are absent.
 
     Depth encodes vertical position (lower in the image reads as nearer,
     i.e. a smaller depth value).  Centers are the polygon centroids, so the
-    detector invariant holds by construction.  Object windows are
-    polygonized ``GT_BLOCK`` at a time, in frame and object order.  A
-    frame's objects do not depend on the other frames asked for, so a
-    scene generated one block of frames at a time equals the whole-scene
-    result.
+    detector invariant holds by construction.  The windows of the present
+    object-frames, in frame and object order, are built by
+    :func:`shape_windows` about ``GT_BLOCK_CELLS`` window cells at a time
+    and polygonized about ``POLYGONIZE_CELLS`` at a time.  The result is
+    one :class:`InstanceBlock`'s rows of each frame.  A frame's objects do
+    not depend on the other frames asked for, so a scene generated one
+    block of frames at a time equals the whole-scene result.
     """
-    out: list[list[GroundTruthObject]] = []
-    block: list[tuple[list[GroundTruthObject], int, int, np.ndarray, tuple[int, int]]] = []
-    for frame in range(sc.n_frames) if frames is None else frames:
-        entries: list[GroundTruthObject] = []
-        out.append(entries)
-        for oid, obj in enumerate(sc.objects, start=1):
-            if not obj.present_at(frame):
-                continue
-            cx, cy = obj.center_at(frame)
-            mask, origin = shape_mask(obj.shape, cx, cy, obj.size[0], obj.size[1],
+    fr = np.arange(sc.n_frames) if frames is None else np.array(frames, dtype=np.int64)
+    objs = sc.objects
+    k = len(objs)
+    # per object; the squares as shape_mask takes them
+    enter = np.array([o.enter_frame for o in objs], dtype=np.int64)
+    hidden = np.array([o.hidden or (0, 0) for o in objs], dtype=np.int64).reshape(k, 2)
+    start = np.array([o.start for o in objs], dtype=np.float64).reshape(k, 2)
+    velocity = np.array([o.velocity for o in objs], dtype=np.float64).reshape(k, 2)
+    half = np.array([o.size for o in objs], dtype=np.float64).reshape(k, 2) / 2.0
+    half_sq = np.array([(a ** 2, b ** 2) for a, b in half.tolist()]).reshape(k, 2)
+    ellipse = np.array([o.shape != "rectangle" for o in objs], dtype=bool)
+    floor = np.array([MIN_VISIBILITY * _analytic_area(o) for o in objs])
+    classes = np.array([o.class_id for o in objs], dtype=np.int64)
+
+    # per frame and object, as ObjectSpec.present_at and center_at
+    f = fr[:, None]
+    present = (f >= enter) & ~((f >= hidden[:, 0]) & (f < hidden[:, 1]))
+    centers = start + velocity * (f - enter).astype(np.float64)[:, :, None]
+    walkers = [j for j, o in enumerate(objs) if o.path is not None]
+    if walkers:
+        centers[:, walkers] = np.stack([objs[j].path for j in walkers], axis=1)[fr]
+    rows, obj = np.nonzero(present)  # frame-major
+    center = centers[rows, obj]
+
+    # a window is at most its shape's size + 4 px, and the image, each way
+    cells = np.minimum(2 * half[obj] + 4, (sc.width, sc.height)).prod(axis=1).max(initial=1)
+    step, batch = (max(1, int(budget // cells)) for budget in (GT_BLOCK_CELLS, POLYGONIZE_CELLS))
+    kept, rings = [], [np.empty((0, DEFAULT_VERTEX_COUNT, 2))]
+    for a in range(0, len(rows), step):
+        part = slice(a, a + step)
+        o = obj[part]
+        masks, origin = shape_windows(ellipse[o], center[part], half[o], half_sq[o],
                                       sc.width, sc.height)
-            visible = int(mask.sum())
-            if visible == 0:
-                if frame == obj.enter_frame:
-                    raise InvalidInputError(
-                        f"object {oid} starts outside the {sc.width}x{sc.height} image")
-                continue
-            if visible < MIN_VISIBILITY * _analytic_area(obj):
-                continue
-            block.append((entries, oid, obj.class_id, mask, origin))
-            if len(block) == GT_BLOCK:
-                _append_ground_truth(block, sc)
-    _append_ground_truth(block, sc)
-    return out
-
-
-def _append_ground_truth(block, sc: Scenario) -> None:
-    """Polygonize a block of object windows, append each object to its
-    frame's entries, and empty the block."""
-    rings = polygonize_windows([b[3] for b in block], [b[4] for b in block],
-                               DEFAULT_VERTEX_COUNT)
-    centers = rings.mean(axis=1).tolist()  # each ring's centroid
-    for (entries, oid, class_id, _, _), poly, (cx, cy) in zip(
-            block, Polygon.stack(rings), centers):
-        entries.append(GroundTruthObject(
-            id=oid, class_id=class_id, center=Point2(cx, cy), polygon=poly,
-            depth=float(sc.height) - cy))
-    block.clear()
+        visible = np.count_nonzero(masks, axis=(1, 2))
+        outside = np.flatnonzero((visible == 0) & (fr[rows[part]] == enter[o]))
+        if len(outside):
+            raise InvalidInputError(f"object {int(o[outside[0]]) + 1} starts outside "
+                                    f"the {sc.width}x{sc.height} image")
+        keep = np.flatnonzero((visible > 0) & (visible >= floor[o]))
+        for b in range(0, len(keep), batch):
+            windows = keep[b:b + batch]
+            rings.append(polygonize_windows(masks[windows], origin[windows],
+                                            DEFAULT_VERTEX_COUNT))
+        kept.append(a + keep)
+    kept = np.concatenate([np.empty(0, np.intp), *kept])
+    rings = np.concatenate(rings)
+    mean = rings.mean(axis=1)  # each ring's centroid
+    block = InstanceBlock(fr[rows[kept]], obj[kept] + 1, classes[obj[kept]], mean,
+                          float(sc.height) - mean[:, 1], rings)
+    cuts = np.searchsorted(rows[kept], np.arange(len(fr) + 1)).tolist()
+    return [block.take(slice(a, b)) for a, b in zip(cuts, cuts[1:])]
 
 
 def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> np.ndarray:
@@ -239,7 +273,7 @@ def _ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> np.ndarra
     return np.stack([cx + a * np.cos(theta), cy + b * np.sin(theta)], axis=1)
 
 
-def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
+def perturb(sc: Scenario, gt_frames: Sequence[InstanceBlock],
             noise: NoiseParams, seed: Union[int, np.random.Generator],
             first_frame: int = 0) -> list[DetectionBlock]:
     """Detector emulation: drop, jitter, and pollute the ground truth.
@@ -253,29 +287,36 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
     false positive appears with ``fp_prob``: a small ellipse at a uniform
     location with score U(0.3, 0.6).
 
-    ``gt_frames`` holds frames ``first_frame``, ``first_frame + 1``, ...
-    of the scene.  ``seed`` is an int, or a Generator carried from the
-    previous block of frames: its draws follow frame order, so a scene
-    perturbed one block at a time with one Generator equals the
-    whole-scene result.  The detections of all frames are one
-    DetectionBlock; the result holds its rows of each frame of
-    ``gt_frames``, in order.
+    ``gt_frames`` holds the ground-truth rows of frames ``first_frame``,
+    ``first_frame + 1``, ... of the scene, as :func:`generate` returns
+    them; their columns are read, and the survivors' rings gathered by
+    row.  ``seed`` is an int, or a Generator carried from the previous
+    block of frames: its draws follow frame order, so a scene perturbed
+    one block at a time with one Generator equals the whole-scene result.
+    The detections of all frames are one DetectionBlock; the result holds
+    its rows of each frame of ``gt_frames``, in order.
     """
     rng = np.random.default_rng(seed)
     jitter_px = noise.center_jitter_sigma * noise.downsample
     lb = noise.prev_frame_lookback
+    gt = InstanceBlock.concat(gt_frames)
+    gt_ids, gt_classes = gt.id.tolist(), gt.class_id.tolist()
+    gt_centers, gt_depths = gt.center.tolist(), gt.depth.tolist()
 
     heads: list[tuple[int, int]] = []     # frame, class id
     values: list[tuple[float, ...]] = []  # score, center, depth, offset
-    rings: list[np.ndarray] = []          # untranslated rings
+    sources: list[int] = []               # ground-truth row, -1 for a false positive
+    fp_rings: list[np.ndarray] = []
     shifts: list[tuple[float, float]] = []
     starts = [0]
-    for frame, entries in enumerate(gt_frames, start=first_frame):
-        for gt in entries:
+    end = 0
+    for frame, rows in enumerate(gt_frames, start=first_frame):
+        begin, end = end, end + len(rows)
+        for i in range(begin, end):
             if rng.random() < noise.drop_prob:
                 continue
             jx, jy = rng.normal(0.0, jitter_px, 2) if jitter_px > 0 else (0.0, 0.0)
-            obj = sc.objects[gt.id - 1]
+            obj = sc.objects[gt_ids[i] - 1]
             if frame >= lb and obj.present_at(frame - lb):
                 off = offset_target(Point2(*obj.center_at(frame)),
                                     Point2(*obj.center_at(frame - lb)))
@@ -285,9 +326,10 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
                 ox, oy = rng.normal(0.0, noise.offset_noise_sigma, 2)
                 off = (off[0] + ox, off[1] + oy)
             score = float(rng.uniform(0.7, 1.0))
-            heads.append((frame, gt.class_id))
-            values.append((score, gt.center.x + jx, gt.center.y + jy, gt.depth, *off))
-            rings.append(gt.polygon.vertices)
+            cx, cy = gt_centers[i]
+            heads.append((frame, gt_classes[i]))
+            values.append((score, cx + jx, cy + jy, gt_depths[i], *off))
+            sources.append(i)
             shifts.append((jx, jy))
         if rng.random() < noise.fp_prob:
             fx = float(rng.uniform(12.0, sc.width - 12.0))
@@ -301,14 +343,18 @@ def perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],
                 off = (ox, oy)
             heads.append((frame, 0))
             values.append((score, fx, fy, float(sc.height) - fy, *off))
-            rings.append(_ellipse_ring(fx, fy, a, b, DEFAULT_VERTEX_COUNT))
+            sources.append(-1)
+            fp_rings.append(_ellipse_ring(fx, fy, a, b, DEFAULT_VERTEX_COUNT))
             shifts.append((0.0, 0.0))
         starts.append(len(heads))
 
     n = len(heads)
     ints = np.array(heads, dtype=np.int64).reshape(n, 2)
     cols = np.array(values, dtype=np.float64).reshape(n, 6)
-    stack = np.array(rings) if n else np.empty((0, DEFAULT_VERTEX_COUNT, 2))
+    src = np.array(sources, dtype=np.intp)
+    stack = np.empty((n, DEFAULT_VERTEX_COUNT, 2))
+    stack[src >= 0] = gt.rings[src[src >= 0]]
+    stack[src < 0] = np.array(fp_rings).reshape(-1, DEFAULT_VERTEX_COUNT, 2)
     stack += np.array(shifts).reshape(n, 1, 2)
     block = DetectionBlock(ints[:, 0], ints[:, 1], cols[:, 0], cols[:, 1:3], cols[:, 4:6],
                            cols[:, 3], stack)
@@ -469,18 +515,20 @@ def _build_random_walk(n_objects, n_frames, width, height, rng):
             raise InvalidInputError(
                 f"image width {width} too small for a random walk of an object "
                 f"{w:.0f} px wide")
-        pos = np.array([float(rng.uniform(margin_x, width - margin_x)), y])
-        vel = rng.uniform(-2.0, 2.0, 2)
-        path = np.empty((n_frames, 2))
-        for t in range(n_frames):
-            path[t] = pos
-            vel = np.clip(vel + rng.normal(0.0, 0.6, 2), -3.0, 3.0)
-            nxt = pos + vel
-            if not (margin_x <= nxt[0] <= width - margin_x):
-                vel[0] = -vel[0]
-            if not (margin_y <= nxt[1] <= height - margin_y):
-                vel[1] = -vel[1]
-            pos = pos + vel
+        x = float(rng.uniform(margin_x, width - margin_x))
+        vx, vy = rng.uniform(-2.0, 2.0, 2).tolist()
+        # one draw of every step's kicks yields the numbers of a draw per step
+        path = []
+        for ax, ay in rng.normal(0.0, 0.6, (n_frames, 2)).tolist():
+            path.append((x, y))
+            vx = min(max(vx + ax, -3.0), 3.0)
+            vy = min(max(vy + ay, -3.0), 3.0)
+            if not (margin_x <= x + vx <= width - margin_x):
+                vx = -vx
+            if not (margin_y <= y + vy <= height - margin_y):
+                vy = -vy
+            x, y = x + vx, y + vy
+        path = np.array(path)
         objects.append(ObjectSpec(shape=SHAPES[i % 2], size=(w, h),
                                   start=tuple(path[0]), velocity=(0.0, 0.0),
                                   path=path))

@@ -15,7 +15,8 @@ import numpy as np
 from polymot.errors import InvalidInputError, ParseError
 from polymot.geometry import DEFAULT_VERTEX_COUNT, Point2, Polygon
 from polymot.losses import offset_target
-from polymot.simulator import GroundTruthObject, NoiseParams, Scenario
+from polymot.simulator import (MIN_VISIBILITY, SHAPES, GroundTruthObject, NoiseParams,
+                               ObjectSpec, Scenario, shape_mask)
 from polymot.tracker import CENTER_TOLERANCE_FRAC, CENTER_TOLERANCE_PX, Detection
 
 
@@ -244,6 +245,75 @@ def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def reference_ellipse_ring(cx: float, cy: float, a: float, b: float, n: int) -> Polygon:
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return Polygon(np.stack([cx + a * np.cos(theta), cy + b * np.sin(theta)], axis=1))
+
+
+def reference_generate(sc: Scenario, frames: Optional[range] = None
+                       ) -> list[list[tuple[int, int, np.ndarray, float, np.ndarray]]]:
+    """Ground truth one object-frame at a time: the per-object form of
+    :func:`polymot.simulator.generate`, which must equal it exactly.
+
+    Per frame, the (id, class id, center, depth, ring) of each object
+    present there, in id order: its ``shape_mask`` window polygonized by
+    :func:`reference_polygonize`, kept while at least ``MIN_VISIBILITY`` of
+    its analytic area is inside the image.  An object with no pixel in the
+    image on the frame it enters is an error.
+    """
+    out = []
+    for frame in range(sc.n_frames) if frames is None else frames:
+        rows = []
+        for oid, obj in enumerate(sc.objects, start=1):
+            if not obj.present_at(frame):
+                continue
+            cx, cy = obj.center_at(frame)
+            w, h = obj.size
+            mask, origin = shape_mask(obj.shape, cx, cy, w, h, sc.width, sc.height)
+            visible = int(mask.sum())
+            if visible == 0:
+                if frame == obj.enter_frame:
+                    raise InvalidInputError(
+                        f"object {oid} starts outside the {sc.width}x{sc.height} image")
+                continue
+            analytic = w * h if obj.shape == "rectangle" else math.pi * w * h / 4.0
+            if visible < MIN_VISIBILITY * analytic:
+                continue
+            ring = reference_polygonize(mask, DEFAULT_VERTEX_COUNT, origin)
+            center = ring.mean(axis=0)
+            rows.append((oid, obj.class_id, center, float(sc.height) - center[1], ring))
+        out.append(rows)
+    return out
+
+
+def reference_random_walk(n_objects, n_frames, width, height, rng):
+    """Random-walk objects drawn one step at a time: per frame, a Gaussian
+    kick to each velocity axis, clipped to +-3 px/frame, and a bounce off
+    each margin the next position would leave."""
+    step = height / (n_objects + 1)
+    lanes = [step * (i + 1) + float(rng.uniform(-step * 0.15, step * 0.15))
+             for i in range(n_objects)]
+    objects = []
+    for i, y in enumerate(lanes):
+        w = float(rng.uniform(14.0, 26.0))
+        h = float(rng.uniform(12.0, 20.0))
+        margin_x = w / 2.0 + 2.0
+        margin_y = h / 2.0 + 2.0
+        if width < 2.0 * margin_x:
+            raise InvalidInputError(f"image width {width} too small")
+        pos = np.array([float(rng.uniform(margin_x, width - margin_x)), y])
+        vel = rng.uniform(-2.0, 2.0, 2)
+        path = np.empty((n_frames, 2))
+        for t in range(n_frames):
+            path[t] = pos
+            vel = np.clip(vel + rng.normal(0.0, 0.6, 2), -3.0, 3.0)
+            nxt = pos + vel
+            if not (margin_x <= nxt[0] <= width - margin_x):
+                vel[0] = -vel[0]
+            if not (margin_y <= nxt[1] <= height - margin_y):
+                vel[1] = -vel[1]
+            pos = pos + vel
+        objects.append(ObjectSpec(shape=SHAPES[i % 2], size=(w, h),
+                                  start=tuple(path[0]), velocity=(0.0, 0.0),
+                                  path=path))
+    return objects, n_frames
 
 
 def reference_perturb(sc: Scenario, gt_frames: Sequence[Sequence[GroundTruthObject]],

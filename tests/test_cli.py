@@ -14,6 +14,7 @@ from polymot import cli
 from polymot import io as pio
 from polymot.cli import main
 from polymot.geometry import Polygon
+from polymot.metrics import GroundTruthObject, MetricsReport
 from polymot.simulator import (NoiseParams, ObjectSpec, Scenario, build_scenario,
                                generate, perturb)
 
@@ -247,6 +248,21 @@ def test_evaluate_dimension_mismatch_exits_1(tmp_path, capsys):
         "polymot: error: dimension mismatch: gt (24, 32) vs results (16, 32)\n")
 
 
+def test_evaluate_matches_only_the_frames_present(tmp_path, capsys):
+    square = Polygon(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
+    records = tmp_path / "records.txt"
+    pio.write_instance_records({0: [(1, 0, square, 1.0)], 10 ** 9: [(1, 0, square, 1.0)]},
+                               4, 4, str(records))
+    report = tmp_path / "report.txt"
+    start = time.perf_counter()
+    assert main(["evaluate", "--gt", str(records), "--results", str(records),
+                 "--report", str(report)]) == 0
+    assert time.perf_counter() - start < 10.0
+    want = pio.format_report(MetricsReport.from_counts(tp=2, fp=0, fn=0, idsw=0, soft_tp=2.0))
+    assert capsys.readouterr().out == want
+    assert report.read_text() == want
+
+
 def test_evaluate_two_empty_files_reports_zeros(tmp_path):
     gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
     gt.write_text("")
@@ -476,3 +492,20 @@ def test_failure_in_a_late_block_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "polymot: error: object 2 starts outside the 128x96 image\n")
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_simulate_builds_no_per_object_ground_truth(tmp_path, monkeypatch):
+    _, want_dets, want_gt = simulate(tmp_path, RANDOM_WALK_CFG, "want")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a per-object record")
+
+    monkeypatch.setattr(GroundTruthObject, "__init__", refuse)
+    monkeypatch.setattr(Polygon, "__post_init__", refuse)
+    monkeypatch.setattr(Polygon, "trusted", refuse)
+    with pytest.raises(AssertionError, match="per-object record"):
+        list(generate(build_scenario("linear", 1, 2, 64, 48, 0))[0])
+    code, dets, gt = simulate(tmp_path, RANDOM_WALK_CFG)
+    assert code == 0
+    assert dets.read_bytes() == want_dets.read_bytes()
+    assert gt.read_bytes() == want_gt.read_bytes()

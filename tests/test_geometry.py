@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from polymot.errors import InvalidInputError
 from polymot.geometry import (Point2, Polygon, area, centroid, fill_polygon,
-                              mask_iou, polygonize, polygonize_windows, rasterize)
+                              mask_iou, polygonize, polygonize_windows, rasterize,
+                              scanline_spans)
 
 from oracles import rasterize_by_ray_cast, reference_polygonize
 
@@ -124,19 +125,6 @@ class TestArea:
         rolled = Polygon(np.roll(p.vertices, shift, axis=0) + [dx, dy])
         assert area(rolled) == pytest.approx(area(p), rel=1e-9, abs=1e-9)
 
-    def test_stack_matches_one_ring_at_a_time(self):
-        rings = np.random.default_rng(4).uniform(-50, 300, (20, 9, 2))
-        for ring, poly in zip(rings, Polygon.stack(rings)):
-            one = Polygon(ring)
-            assert np.array_equal(poly.vertices, one.vertices)
-            assert poly.area == one.area
-            assert centroid(poly) == centroid(one)
-        assert Polygon.stack(np.empty((0, 9, 2))) == []
-        with pytest.raises(InvalidInputError):
-            Polygon.stack(np.full((2, 3, 2), np.nan))
-        with pytest.raises(InvalidInputError):
-            Polygon.stack(rings[0])
-
 
 class TestRasterize:
     def test_axis_aligned_square(self):
@@ -220,6 +208,14 @@ class TestRasterize:
     def test_bad_dims(self):
         with pytest.raises(InvalidInputError):
             rasterize(square(0, 0, 1, 1), 0, 4)
+
+    def test_scanline_spans_of_a_ring_array_equal_the_ring_list(self):
+        rng = np.random.default_rng(3)
+        for n_vertices in (2, 3, 7, 32):
+            rings = rng.uniform(-3.0, 20.0, (5, n_vertices, 2))
+            got = scanline_spans(rings, 17, 13)
+            want = scanline_spans(list(rings), 17, 13)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestMaskIou:
@@ -331,6 +327,12 @@ class TestPolygonize:
         assert rings.shape == (len(stack), n, 2)
         for ring, window, origin in zip(rings, windows, origins):
             assert np.array_equal(ring, reference_polygonize(window, n, origin))
+        # the same windows padded with False cells into one (m, H, W) array
+        shape = np.max([w.shape for w in windows] + [(0, 0)], axis=0)
+        padded = np.zeros((len(windows), *shape), bool)
+        for pad, window in zip(padded, windows):
+            pad[:window.shape[0], :window.shape[1]] = window
+        assert polygonize_windows(padded, origins, n).tobytes() == rings.tobytes()
 
     def test_missed_rays_fall_back_to_center(self):
         window = np.zeros((5, 5), bool)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from polymot.errors import InvalidInputError
 from polymot.geometry import Polygon, rasterize
-from polymot.metrics import (Frame, MetricsReport, evaluate, evaluate_polygons,
-                             flatten_frame, match_frame, run_pixels)
+from polymot.metrics import (Frame, InstanceBlock, MetricsReport, evaluate,
+                             evaluate_polygons, flatten_frame, match_frame, run_pixels)
 
 from polymot.rle import decode_runs, encode_runs
 
@@ -386,3 +386,49 @@ def test_evaluate_polygons_roundtrip():
     gt = [[(1, rect(2, 2, 10, 10), 4.0)], [(1, rect(4, 2, 12, 10), 4.0)]]
     report = evaluate_polygons(gt, gt, 32, 32)
     assert report.motsa == 1.0 and report.tp == 2
+
+
+class TestInstanceBlock:
+    def records(self):
+        return {7: [(2, 1, rect(4, 4, 12, 10), 3.0)],
+                3: [(5, 0, rect(0, 0, 6, 6), 1.0), (1, 2, rect(2, 2, 9, 9), 2.0)]}
+
+    def test_mapping_becomes_columns_in_frame_order(self):
+        block = InstanceBlock.of(self.records())
+        assert block.frame.tolist() == [3, 3, 7]
+        assert block.id.tolist() == [5, 1, 2] and block.class_id.tolist() == [0, 2, 1]
+        assert block.depth.tolist() == [1.0, 2.0, 3.0]
+        assert block.center.tolist() == [[3.0, 3.0], [5.5, 5.5], [8.0, 7.0]]
+        assert list(block.by_frame()) == [3, 7]
+        rows = list(block.by_frame()[3])
+        assert [(g.id, g.class_id, g.depth) for g in rows] == [(5, 0, 1.0), (1, 2, 2.0)]
+        assert rows[1].polygon.vertices.tobytes() == rect(2, 2, 9, 9).vertices.tobytes()
+        assert rows[1].polygon.area == 49.0
+
+    def test_flatten_reads_a_block_as_its_triples(self):
+        for frame, rows in InstanceBlock.of(self.records()).by_frame().items():
+            triples = [(iid, poly, depth) for iid, _, poly, depth in self.records()[frame]]
+            assert_same_frame(flatten_frame(rows, 16, 12), flatten_frame(triples, 16, 12))
+
+    def test_empty_and_concat(self):
+        empty = InstanceBlock.of({})
+        assert len(empty) == 0 and empty.rings.shape == (0, 32, 2)
+        assert empty.by_frame() == {} and list(empty) == []
+        assert flatten_frame(empty, 4, 4).ids == []
+        block = InstanceBlock.of(self.records())
+        joined = InstanceBlock.concat([block.take(slice(2, 3)), block.take(slice(1, 1)),
+                                       block.take(slice(0, 2))])
+        assert joined.frame.tolist() == [7, 3, 3] and joined.id.tolist() == [2, 5, 1]
+        assert len(InstanceBlock.concat([])) == 0
+
+    def test_rings_must_share_a_vertex_count(self):
+        triangle = Polygon(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))
+        with pytest.raises(InvalidInputError, match="share a vertex count"):
+            InstanceBlock.of({0: [(1, 0, triangle, 1.0), (2, 0, rect(0, 0, 2, 2), 2.0)]})
+
+    def test_non_finite_depth_names_the_instance(self):
+        block = InstanceBlock.of({0: [(4, 0, rect(0, 0, 2, 2), 1.0),
+                                      (9, 0, rect(2, 2, 4, 4), None)]})
+        with pytest.raises(InvalidInputError, match="^instance 9 lacks a finite depth$"):
+            flatten_frame(block, 8, 8)
+

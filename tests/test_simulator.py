@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from polymot import simulator
 from polymot.errors import InvalidInputError
-from polymot.geometry import centroid
+from polymot.geometry import Polygon, centroid
 from polymot.losses import offset_target
 from polymot.metrics import evaluate_polygons
-from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, NoiseParams,
-                               ObjectSpec, Scenario, build_scenario, generate,
-                               perturb, shape_mask)
+from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, GroundTruthObject,
+                               NoiseParams, ObjectSpec, Scenario, build_scenario,
+                               generate, perturb, shape_mask)
 from polymot.tracker import TrackerConfig, run_sequence, emitted_instances
 
-from oracles import reference_perturb
+from oracles import reference_generate, reference_perturb, reference_random_walk
 
 
 def gt_centers(frames, oid):
@@ -362,3 +363,105 @@ def test_blocks_of_frames_equal_the_whole_scene(kind, block_frames):
         for got, want in zip(perturb(sc, gt_block, noise, rng, start), dets[start:frames.stop],
                              strict=True):
             assert_same_detections(got, want)
+
+
+def assert_generate_equals_oracle(sc, frames=None):
+    got = generate(sc, frames)
+    want = reference_generate(sc, frames)
+    assert len(got) == len(want)
+    for rows, oracle in zip(got, want):
+        assert len(rows) == len(oracle)
+        assert rows.id.tolist() == [oid for oid, *_ in oracle]
+        assert rows.class_id.tolist() == [cls for _, cls, *_ in oracle]
+        assert rows.center.tobytes() == np.array([c for _, _, c, _, _ in oracle]
+                                                 ).reshape(-1, 2).tobytes()
+        assert rows.depth.tobytes() == np.array([d for *_, d, _ in oracle]).tobytes()
+        assert rows.rings.tobytes() == np.array([r for *_, r in oracle]
+                                                ).reshape(-1, 32, 2).tobytes()
+    return want
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generate_equals_per_object_oracle(kind, seed):
+    assert_generate_equals_oracle(build_scenario(kind, 4, 30, 288, 160, seed))
+
+
+# a 40x30 image with objects clipped at every border and a corner, sub-pixel
+# objects on and between pixel centers, one larger than the image beside
+# small ones, and a rectangle whose visible share passes MIN_VISIBILITY
+EDGE_SCENE = Scenario(width=40, height=30, n_frames=10, objects=(
+    ObjectSpec("rectangle", (11.0, 7.0), (1.2, 15.0), (-0.7, 0.0)),       # left
+    ObjectSpec("ellipse", (11.0, 7.0), (38.9, 15.0), (0.7, 0.0), class_id=1),  # right
+    ObjectSpec("rectangle", (11.0, 7.0), (20.0, 0.6), (0.0, -0.4)),       # top
+    ObjectSpec("ellipse", (11.0, 7.0), (20.0, 29.5), (0.0, 0.4)),         # bottom
+    ObjectSpec("ellipse", (5.0, 4.0), (0.5, 29.5), (-0.3, 0.3)),          # corner
+    ObjectSpec("rectangle", (0.4, 0.7), (8.5, 8.5), (0.25, 0.0)),         # on a center, then off
+    ObjectSpec("ellipse", (0.4, 0.7), (30.5, 8.5), (0.0, 0.0), enter_frame=2),
+    ObjectSpec("ellipse", (60.0, 45.0), (20.0, 15.0), (0.0, 0.0)),        # beyond the image
+    ObjectSpec("rectangle", (16.0, 12.0), (40.0, 15.0), (1.0, 0.0)),      # 8, 7, ... columns
+    ObjectSpec("ellipse", (16.0, 12.0), (0.0, 15.0), (-1.0, 0.0), hidden=(3, 5)),
+))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 700])
+def test_generate_equals_oracle_at_borders_and_visibility_floor(monkeypatch, cells):
+    if cells is not None:  # one window, or a few mixed ones, per broadcast and polygonize
+        monkeypatch.setattr(simulator, "GT_BLOCK_CELLS", cells)
+        monkeypatch.setattr(simulator, "POLYGONIZE_CELLS", cells)
+    want = assert_generate_equals_oracle(EDGE_SCENE)
+    assert_generate_equals_oracle(EDGE_SCENE, range(3, 7))
+    present = [{oid for oid, *_ in rows} for rows in want]
+    # the 16x12 rectangle keeps 12 px per visible column against a floor of
+    # 48 px: 5 columns on frame 3, exactly 4 on frame 4, 3 on frame 5
+    assert [9 in ids for ids in present[3:6]] == [True, True, False]
+    assert 6 in present[0] and 6 not in present[1]  # sub-pixel: on, then off a center
+    assert 7 in present[2] and 8 in present[0]
+    assert all(10 not in ids for ids in present[3:5])  # hidden
+    assert set().union(*present) == set(range(1, 11))
+
+
+def test_generate_names_the_first_object_starting_outside():
+    inside = ObjectSpec("rectangle", (6.0, 6.0), (10.0, 10.0), (0.0, 0.0))
+    late = ObjectSpec("rectangle", (6.0, 6.0), (-20.0, 10.0), (0.0, 0.0), enter_frame=3)
+    early = ObjectSpec("ellipse", (6.0, 6.0), (10.0, 60.0), (0.0, 0.0), enter_frame=1)
+    twin = ObjectSpec("ellipse", (6.0, 6.0), (70.0, 10.0), (0.0, 0.0), enter_frame=1)
+    for objects, oid in [((inside, late, early), 3), ((inside, late, twin, early), 3),
+                         ((inside, late), 2)]:
+        sc = Scenario(width=40, height=30, n_frames=6, objects=objects)
+        message = f"^object {oid} starts outside the 40x30 image$"
+        with pytest.raises(InvalidInputError, match=message):
+            reference_generate(sc)
+        with pytest.raises(InvalidInputError, match=message):
+            generate(sc)
+
+
+def test_generate_rows_read_as_ground_truth_objects():
+    sc = build_scenario("crossing", 2, 12, 288, 160, 4)
+    for rows in generate(sc):
+        objects = list(rows)
+        assert [g.id for g in objects] == rows.id.tolist()
+        for k, g in enumerate(objects):
+            assert isinstance(g, GroundTruthObject)
+            assert (g.class_id, g.depth) == (rows.class_id[k], rows.depth[k])
+            assert g.polygon.vertices.tobytes() == rows.rings[k].tobytes()
+            assert g.polygon.area == Polygon(rows.rings[k]).area
+            assert tuple(g.center) == tuple(rows.center[k].tolist())
+
+
+@pytest.mark.parametrize("n_objects,n_frames,width,height", [
+    (1, 2, 64, 48), (3, 40, 160, 120), (12, 300, 640, 480), (40, 150, 320, 240)])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_random_walk_equals_per_step_oracle(n_objects, n_frames, width, height, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    objects, frames = simulator._build_random_walk(n_objects, n_frames, width, height, rng)
+    want, want_frames = reference_random_walk(n_objects, n_frames, width, height,
+                                              oracle_rng)
+    assert frames == want_frames
+    assert len(objects) == len(want)
+    for got, ref in zip(objects, want):
+        assert (got.shape, got.size, got.start, got.velocity) == (
+            ref.shape, ref.size, ref.start, ref.velocity)
+        assert got.path.shape == (n_frames, 2)
+        assert got.path.tobytes() == ref.path.tobytes()
+    assert rng.random() == oracle_rng.random()  # the same number of draws
