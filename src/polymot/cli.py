@@ -117,8 +117,8 @@ def _cmd_track(args) -> int:
     tracker_cfg = cfg.tracker
     if args.no_ukf:
         tracker_cfg = replace(tracker_cfg, use_ukf=False)
-    tracks = run_sequence(pio.parse_detections(args.dets), tracker_cfg)
-    pio.write_results(tracks, cfg.width, cfg.height, args.out)
+    pio.write_instance_records(run_sequence(pio.parse_detections(args.dets), tracker_cfg),
+                               cfg.width, cfg.height, args.out)
     return 0
 
 
@@ -147,7 +147,10 @@ def _cmd_polygonize(args) -> int:
     lines = []
     for path in paths:
         mask = pio.read_pgm(path) > 0
-        poly = polygonize(mask, args.vertices)
+        try:
+            poly = polygonize(mask, args.vertices)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
         stem = os.path.splitext(os.path.basename(path))[0]
         coords = " ".join(f"{v:.4f}" for v in poly.vertices.ravel())
         lines.append(f"{stem} {coords}")

@@ -16,15 +16,18 @@ files use the MOTS submission layout, one line per instance:
 
     frame track_id class_id img_height img_width rle
 
-with the compressed run-length string from :mod:`polymot.rle`.  A frame
-is held as its column-major runs (a :class:`polymot.metrics.Frame`) when
-written and when read.  The strings go through the batch codec: a writer
-flattens each frame, then encodes the instances of a block of frames in
-one call; a reader checks each line's fields, dimensions and ids, then
-decodes every string of the file in one call.  The first error in file
-order is reported with its line: a malformed line, a bad string, or a
-record claiming a pixel that an earlier record of its frame holds.  In
-both formats the error reported is the first in file order, with the
+with the compressed run-length string from :mod:`polymot.rle`.  Records
+are written from a :class:`polymot.metrics.InstanceBlock`: ``polymot
+simulate`` writes its ground truth's, and ``polymot track`` the one that
+:func:`polymot.tracker.run_sequence` returns.  A frame is held as its
+column-major runs (a :class:`polymot.metrics.Frame`) when written and when
+read.  The strings go through the batch codec: a writer flattens each
+frame, then encodes the instances of a block of frames in one call; a
+reader checks each line's fields, dimensions and ids, then decodes every
+string of the file in one call.  The first error in file order is
+reported with its line: a malformed line, a bad string, or a record
+claiming a pixel that an earlier record of its frame holds.  In both
+formats the error reported is the first in file order, with the
 message a line-by-line reader gives.  All writes go through a temp file
 and an atomic rename, and the large ones stream in bounded chunks.  The
 writers take a path, or a text file held open by :func:`atomic_writers`:
@@ -51,8 +54,7 @@ from .metrics import (Frame, InstanceBlock, InstanceRecord, MetricsReport, Runs,
                       flatten_frame, run_pixels)
 from .rle import RunLengthError, decode_strings, encode_strings
 from .simulator import SCENARIO_KINDS, NoiseParams
-from .tracker import (Detection, DetectionBlock, Track, TrackerConfig,
-                      emitted_instances)
+from .tracker import Detection, DetectionBlock, TrackerConfig
 from .ukf import UkfParams
 
 
@@ -300,12 +302,6 @@ def _rle_lines(heads: list[str], starts: list[np.ndarray], stops: list[np.ndarra
     return "".join(map("{}{}\n".format, heads, strings))
 
 
-def write_results(tracks: Sequence[Track], width: int, height: int,
-                  path: str) -> None:
-    """Write a tracker run in the MOTS submission layout (active frames only)."""
-    write_instance_records(emitted_instances(tracks), width, height, path)
-
-
 def parse_mask_records(path: str) -> tuple[dict[int, Frame], dict[int, int],
                                            tuple[int, int]]:
     """Read result-format lines: per-frame runs, id->class, (h, w).
@@ -402,7 +398,12 @@ def _first_overlap(runs: Sequence[Runs], size: int) -> int:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a P2 (ascii) or P5 (binary) PGM image as a uint16 array."""
+    """Read a P2 (ascii) or P5 (binary) PGM image as a uint16 array.
+
+    A ParseError naming the file rejects a bad header, dimensions that are
+    not positive, a maxval outside 1..65535, missing samples (and in P2,
+    extra ones) and a sample above maxval.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     tokens: list[bytes] = []
@@ -424,19 +425,28 @@ def read_pgm(path: str) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ParseError(f"{path}: bad PGM header: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: dimensions {width}x{height} not positive")
+    if not 1 <= maxval <= 65535:
+        raise ParseError(f"{path}: maxval {maxval} outside 1..65535")
     if tokens[0] == b"P2":
         try:
-            values = np.array(data[pos:].split(), dtype=np.uint16)
-        except ValueError as exc:
+            values = np.array(data[pos:].split(), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad PGM samples: {exc}") from exc
+        size = values.size
     else:
         pos += 1  # single whitespace after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        values = np.frombuffer(data[pos:], dtype=dtype, count=width * height)
-        values = values.astype(np.uint16)
-    if values.size != width * height:
-        raise ParseError(f"{path}: expected {width * height} samples, got {values.size}")
-    return values.reshape((height, width))
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+        size = min(max(0, len(data) - pos) // dtype.itemsize, width * height)
+        if size == width * height:  # bytes past the samples are ignored
+            values = np.frombuffer(data, dtype=dtype, count=size, offset=pos)
+    if size != width * height:
+        raise ParseError(f"{path}: expected {width * height} samples, got {size}")
+    bad = np.flatnonzero((values < 0) | (values > maxval))
+    if len(bad):
+        raise ParseError(f"{path}: sample {int(values[bad[0]])} outside 0..{maxval}")
+    return values.astype(np.uint16).reshape((height, width))
 
 
 def write_pgm(values: np.ndarray, path: str) -> None:

@@ -95,6 +95,8 @@ class InstanceBlock:
             return blocks[0]
         if not blocks:
             return cls.of({})
+        if len({b.rings.shape[1] for b in blocks}) > 1:
+            raise InvalidInputError("instances of one block must share a vertex count")
         return cls(*(np.concatenate([getattr(b, name) for b in blocks])
                      for name in _INSTANCE_COLUMNS))
 

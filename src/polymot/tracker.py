@@ -13,6 +13,13 @@ previous position against each live track's reference center, over whole
 arrays.  Matched tracks stay active on raw detected centers; unmatched
 tracks freeze and, when the filter is enabled, coast along their estimated
 trajectory until re-associated or aged out.
+
+Tracking is online: the tracker holds live tracks only, and its output is
+the id :meth:`Tracker.step` returns for each detection.  A track that ages
+out leaves ``Tracker.tracks`` and is forgotten.  :func:`run_sequence`
+gathers a run's ids and kept detections into one
+:class:`polymot.metrics.InstanceBlock`, the rows a result file is written
+from.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from . import ukf
 from .errors import InvalidInputError
 from .geometry import Point2, Polygon, polygon_areas
+from .metrics import InstanceBlock
 
 CENTER_TOLERANCE_PX = 2.0
 CENTER_TOLERANCE_FRAC = 0.05
@@ -36,7 +44,6 @@ CENTER_TOLERANCE_FRAC = 0.05
 class TrackState(enum.Enum):
     ACTIVE = "active"
     FROZEN = "frozen"
-    TERMINATED = "terminated"
 
 
 def first_invalid(score: np.ndarray, center: np.ndarray, offset: np.ndarray,
@@ -230,13 +237,10 @@ class DetectionBlock:
         return iter(self.detections(list(range(len(self)))))
 
 
-HistoryEntry = tuple[int, Union[Detection, Point2]]
-
-
 @dataclass
 class Track:
-    """Identity-carrying object state; history holds the matched detection
-    per active frame and the held/predicted center per frozen frame.
+    """A live track: its id and class, the center the next frame's
+    detections are matched against, and its last matched polygon.
     filter_mean (2, 3) and filter_cov (3, 3) are the per-axis belief of
     ``ukf``'s batched kernels; ``filter`` is its six-dimensional view."""
 
@@ -248,7 +252,6 @@ class Track:
     filter_mean: np.ndarray
     filter_cov: np.ndarray
     age: int = 0  # consecutive unmatched frames while frozen
-    history: list[HistoryEntry] = field(default_factory=list)
 
     @property
     def filter(self) -> ukf.FilterState:
@@ -369,8 +372,7 @@ class Tracker:
 
     def __init__(self, config: Optional[TrackerConfig] = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []      # live, in birth (id) order
-        self.finished: list[Track] = []    # terminated
+        self.tracks: list[Track] = []  # live, in birth (id) order
         self._next_id = 1
         self._last_frame: Optional[int] = None
         self._means = np.empty((8, 2, 3))
@@ -397,20 +399,12 @@ class Tracker:
             t.filter_cov = self._covs[i]
 
     def _drop(self, dead: list[int]) -> None:
-        """Move the terminated tracks at positions ``dead`` (ascending) to
-        ``finished`` and close their gaps in the arena."""
-        keep = np.ones(len(self.tracks), dtype=bool)
-        keep[dead] = False
-        for i in dead:
-            t = self.tracks[i]
-            # detach terminated tracks from the arena rows
-            t.filter_mean = t.filter_mean.copy()
-            t.filter_cov = t.filter_cov.copy()
-            self.finished.append(t)
-        k = len(self.tracks) - len(dead)
-        self._means[:k] = self._means[:len(self.tracks)][keep]
-        self._covs[:k] = self._covs[:len(self.tracks)][keep]
-        self.tracks = [t for t, live in zip(self.tracks, keep.tolist()) if live]
+        """Forget the tracks at positions ``dead`` (ascending) and close
+        their gaps in the arena."""
+        live = np.delete(np.arange(len(self.tracks)), dead)
+        self._means[:len(live)] = self._means[live]
+        self._covs[:len(live)] = self._covs[live]
+        self.tracks = [self.tracks[i] for i in live.tolist()]
         self._rebind_views(dead[0])
 
     def step(self, detections: Union[DetectionBlock, Sequence[Detection]],
@@ -457,7 +451,6 @@ class Tracker:
             t.age = 0
             t.ref_center = d.center
             t.polygon = d.polygon
-            t.history.append((frame, d))
 
         dead = []  # positions of the tracks that terminate
         if len(assoc.free_trk):
@@ -467,12 +460,9 @@ class Tracker:
                 t.state = TrackState.FROZEN
                 t.age += 1
                 if t.age > cfg.max_age:
-                    t.state = TrackState.TERMINATED
                     dead.append(ti)
-                    continue
-                if coast is not None:
+                elif coast is not None:
                     t.ref_center = Point2(*coast[k])
-                t.history.append((frame, t.ref_center))
 
         born = assoc.free_det
         if len(born):
@@ -486,7 +476,7 @@ class Tracker:
                 tracks.append(Track(id=self._next_id, class_id=d.class_id,
                                     state=TrackState.ACTIVE, ref_center=d.center,
                                     polygon=d.polygon, filter_mean=self._means[slot],
-                                    filter_cov=self._covs[slot], history=[(frame, d)]))
+                                    filter_cov=self._covs[slot]))
                 self._next_id += 1
 
         if dead:
@@ -499,15 +489,12 @@ class Tracker:
             out[i] = tid
         return out
 
-    def all_tracks(self) -> list[Track]:
-        return sorted(self.finished + self.tracks, key=lambda t: t.id)
-
 
 Rows = Union[DetectionBlock, Sequence[Detection]]
 
 
 def run_sequence(frames: Union[Sequence[Rows], Mapping[int, Rows]],
-                 config: Optional[TrackerConfig] = None) -> list[Track]:
+                 config: Optional[TrackerConfig] = None) -> InstanceBlock:
     """Drive a tracker over ordered per-frame detection rows.
 
     ``frames`` is either a list whose item k holds frame k's rows, or a map
@@ -516,27 +503,28 @@ def run_sequence(frames: Union[Sequence[Rows], Mapping[int, Rows]],
     a track is live; once none is, stepping one changes nothing, so the
     rest of the gap is skipped.
 
-    Returns every track ever created, in id order; only the active
-    (detection) entries of a track's history carry output masks.
+    Returns the run's output as one block in frame order: each frame's kept
+    detections (score >= ``score_min``) in row order, with the id that
+    :meth:`Tracker.step` returned for each, their class, depth and ring.
     """
     items = frames.items() if isinstance(frames, Mapping) else enumerate(frames)
     tracker = Tracker(config)
+    out: list[InstanceBlock] = []
     gap = None  # the first frame not yet stepped
     for frame, rows in items:
         while gap is not None and gap < frame and tracker.tracks:
             tracker.step([], gap)
             gap += 1
-        tracker.step(rows, frame)
+        rows = DetectionBlock.of(rows)
+        ids = tracker.step(rows, frame)
         gap = frame + 1
-    return tracker.all_tracks()
-
-
-def emitted_instances(tracks: Sequence[Track]) -> dict[int, list[tuple[int, int, Polygon, float]]]:
-    """Per-frame (track id, class id, polygon, depth) for active frames only."""
-    frames: dict[int, list[tuple[int, int, Polygon, float]]] = {}
-    for t in tracks:
-        for frame, entry in t.history:
-            if isinstance(entry, Detection):
-                frames.setdefault(frame, []).append(
-                    (t.id, t.class_id, entry.polygon, entry.depth))
-    return frames
+        kept = np.flatnonzero(rows.score >= tracker.config.score_min)
+        if not len(kept):
+            continue
+        if len(kept) == len(rows):
+            kept = slice(None)
+        rings = rows.rings[kept]
+        out.append(InstanceBlock(
+            rows.frame[kept], np.array([i for i in ids if i is not None], np.int64),
+            rows.class_id[kept], rings.mean(axis=1), rows.depth[kept], rings))
+    return InstanceBlock.concat(out)

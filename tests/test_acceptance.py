@@ -16,8 +16,7 @@ from polymot.losses import LossWeights, focal_loss, l1_at_centers, total_loss
 from polymot.rle import decode_rle, encode_rle
 from polymot.simulator import (NoiseParams, Scenario, ObjectSpec,
                                build_scenario, generate, perturb)
-from polymot.tracker import (Detection, Tracker, TrackerConfig, run_sequence,
-                             emitted_instances)
+from polymot.tracker import Detection, Tracker, TrackerConfig, run_sequence
 
 from oracles import LinearKalman, central_difference, count_tracking_events
 from test_metrics import label_frame
@@ -83,9 +82,8 @@ SUITE_UKF = ukf.UkfParams(q_accel=0.01)
 
 def run_arm(scenario, dets, gt_masks, use_ukf):
     cfg = TrackerConfig(use_ukf=use_ukf, ukf=SUITE_UKF)
-    tracks = run_sequence(dets, cfg)
-    hyp = emitted_instances(tracks)
-    hyp_frames = [[(tid, poly, depth) for tid, _, poly, depth in hyp.get(f, [])]
+    hyp = run_sequence(dets, cfg).by_frame()
+    hyp_frames = [[(h.id, h.polygon, h.depth) for h in hyp.get(f, ())]
                   for f in range(scenario.n_frames)]
     hyp_masks = metrics.flatten(hyp_frames, scenario.width, scenario.height)
     return metrics.evaluate(gt_masks, hyp_masks)

@@ -219,6 +219,27 @@ def test_polygonize_command(tmp_path):
     assert len(lines[0].split()) == 1 + 2 * 16
 
 
+def test_polygonize_of_an_empty_mask_names_the_file(tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    pio.write_pgm(np.zeros((8, 8), bool), str(masks / "blank.pgm"))
+    assert main(["polygonize", "--mask-dir", str(masks),
+                 "--out", str(tmp_path / "polys.txt")]) == 1
+    assert capsys.readouterr().err == (f"polymot: error: {masks / 'blank.pgm'}: "
+                                       f"polygonize of an empty mask (window 0)\n")
+    assert not (tmp_path / "polys.txt").exists()
+
+
+def test_polygonize_of_a_truncated_pgm_names_the_file(tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    (masks / "cut.pgm").write_bytes(b"P5\n30 20\n255\n\x00\x01")
+    assert main(["polygonize", "--mask-dir", str(masks),
+                 "--out", str(tmp_path / "polys.txt")]) == 1
+    assert capsys.readouterr().err == (f"polymot: error: {masks / 'cut.pgm'}: "
+                                       f"expected 600 samples, got 2\n")
+
+
 def test_polygonize_without_masks_exits_1(tmp_path, capsys):
     masks = tmp_path / "masks"
     masks.mkdir()

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -14,8 +15,7 @@ from polymot.geometry import Point2, Polygon
 from polymot.metrics import MetricsReport, flatten_frame
 from polymot.rle import encode_rle
 from polymot.simulator import IDENTITY_NOISE, build_scenario, generate, perturb
-from polymot.tracker import (Detection, DetectionBlock, TrackerConfig,
-                             emitted_instances, run_sequence)
+from polymot.tracker import Detection, DetectionBlock, TrackerConfig, run_sequence
 
 from oracles import reference_format_detection, reference_parse_detections
 from test_metrics import assert_same_frame, label_image
@@ -346,20 +346,19 @@ class TestDetectionBlocks:
 
 
 class TestResultFiles:
-    def test_write_results_reparses(self, tmp_path):
+    def test_tracker_run_reparses(self, tmp_path):
         dets = sample_detections()
-        tracks = run_sequence(dets, TrackerConfig())
+        rows = run_sequence(dets, TrackerConfig())
         path = str(tmp_path / "results.txt")
-        pio.write_results(tracks, 256, 160, path)
+        pio.write_instance_records(rows, 256, 160, path)
         frames, classes, dims = pio.parse_mask_records(path)
         assert dims == (160, 256)
-        assert frames and classes
-        emitted = emitted_instances(tracks)
+        assert classes == dict(zip(rows.id.tolist(), rows.class_id.tolist()))
+        emitted = rows.by_frame()
         assert sorted(frames) == sorted(emitted)
         for f, frame in frames.items():
             # the file holds exactly the depth-ordered runs it was written from
-            want = flatten_frame(
-                [(tid, poly, depth) for tid, _, poly, depth in emitted[f]], 256, 160)
+            want = flatten_frame([(g.id, g.polygon, g.depth) for g in emitted[f]], 256, 160)
             assert_same_frame(frame, want)
 
     def test_track_id_zero_round_trips(self, tmp_path):
@@ -460,14 +459,14 @@ class TestResultFiles:
             pio.parse_mask_records(str(path))
 
     def test_records_in_blocks_read_the_same(self, tmp_path, monkeypatch):
-        tracks = run_sequence(sample_detections(), TrackerConfig())
+        rows = run_sequence(sample_detections(), TrackerConfig())
         path = tmp_path / "r.txt"
-        pio.write_results(tracks, 256, 160, str(path))
+        pio.write_instance_records(rows, 256, 160, str(path))
         text = path.read_text()
         frames, classes, dims = pio.parse_mask_records(str(path))
         monkeypatch.setattr(pio, "ENCODE_BLOCK_RUNS", 1)  # a block per frame
         monkeypatch.setattr(rle, "DECODE_BLOCK_CHARS", 3)  # a block per string
-        pio.write_results(tracks, 256, 160, str(path))
+        pio.write_instance_records(rows, 256, 160, str(path))
         assert path.read_text() == text
         again, _, _ = pio.parse_mask_records(str(path))
         assert sorted(again) == sorted(frames)
@@ -533,6 +532,31 @@ class TestPgm:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ParseError):
             pio.read_pgm(str(path))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n30 20\n255\n\x00\x01", "expected 600 samples, got 2"),
+        (b"P5\n2 2\n65535\n\x00\x01\x00\x02\x00\x03\x00", "expected 4 samples, got 3"),
+        (b"P5\n2 2\n255", "expected 4 samples, got 0"),
+        (b"P2\n3 2\n255\n1 2 3 4 5", "expected 6 samples, got 5"),
+        (b"P2\n-3 -2\n255\n1 2 3 4 5 6", "dimensions -3x-2 not positive"),
+        (b"P2\n0 2\n255\n", "dimensions 0x2 not positive"),
+        (b"P5\n2 0\n255\n", "dimensions 2x0 not positive"),
+        (b"P2\n1 1\n0\n0", "maxval 0 outside 1..65535"),
+        (b"P2\n1 1\n65536\n0", "maxval 65536 outside 1..65535"),
+        (b"P2\n2 1\n255\n1 70000", "sample 70000 outside 0..255"),
+        (b"P2\n2 1\n255\n-1 1", "sample -1 outside 0..255"),
+        (b"P5\n2 1\n100\n\x05\xc8", "sample 200 outside 0..100"),
+    ])
+    def test_bad_input_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+            pio.read_pgm(str(path))
+
+    def test_p5_bytes_past_the_samples_are_ignored(self, tmp_path):
+        path = tmp_path / "b.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\x01\x02\x00\x07\n")
+        assert pio.read_pgm(str(path)).tolist() == [[258, 7]]
 
 
 class TestConfig:

@@ -12,7 +12,7 @@ from polymot.metrics import evaluate_polygons
 from polymot.simulator import (IDENTITY_NOISE, SCENARIO_KINDS, GroundTruthObject,
                                NoiseParams, ObjectSpec, Scenario, build_scenario,
                                generate, perturb, shape_mask)
-from polymot.tracker import TrackerConfig, run_sequence, emitted_instances
+from polymot.tracker import TrackerConfig, run_sequence
 
 from oracles import reference_generate, reference_perturb, reference_random_walk
 
@@ -264,9 +264,8 @@ def test_identity_noise_linear_tracking_is_perfect():
     sc = build_scenario("linear", 3, 20, 288, 160, 12)
     gt = generate(sc)
     dets = perturb(sc, gt, IDENTITY_NOISE, 13)
-    tracks = run_sequence(dets, TrackerConfig())
-    hyp = emitted_instances(tracks)
-    hyp_frames = [[(tid, poly, depth) for tid, _, poly, depth in hyp.get(f, [])]
+    hyp = run_sequence(dets, TrackerConfig()).by_frame()
+    hyp_frames = [[(h.id, h.polygon, h.depth) for h in hyp.get(f, ())]
                   for f in range(sc.n_frames)]
     gt_frames = [[(g.id, g.polygon, g.depth) for g in fr] for fr in gt]
     report = evaluate_polygons(gt_frames, hyp_frames, sc.width, sc.height)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,37 @@ def det(frame, cx, cy, offset=(0.0, 0.0), score=0.9, class_id=0, half=8.0):
     return Detection(frame=frame, class_id=class_id, score=score,
                      center=Point2(cx, cy), polygon=ring_at(cx, cy, half),
                      depth=1.0, offset=offset)
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """The (tracker, frame) of every Tracker.step call, in call order."""
+    calls = []
+    step = Tracker.step
+
+    def record(self, detections, frame):
+        calls.append((self, frame))
+        return step(self, detections, frame)
+
+    monkeypatch.setattr(Tracker, "step", record)
+    return calls
+
+
+def live_state(tracker):
+    """Each live track's id, state, age, reference center and filter."""
+    return [(t.id, t.state, t.age, t.ref_center, t.filter_mean.tolist(),
+             t.filter_cov.tolist()) for t in tracker.tracks]
+
+
+def kept_rows(frames, config):
+    """Each frame's kept detections with the ids step returned: (frame, id,
+    class, depth, ring) per row, a fresh Tracker stepping every frame."""
+    tracker, out = Tracker(config), []
+    for f, rows in enumerate(frames):
+        for d, tid in zip(rows, tracker.step(rows, f)):
+            if tid is not None:
+                out.append((f, tid, d.class_id, d.depth, d.polygon.vertices))
+    return out
 
 
 def track_at(tid, cx, cy, class_id=0):
@@ -217,7 +250,6 @@ class TestStep:
             assert tr.tracks[0].age == f
         tr.step([], 5)  # miss 5 = max_age + 1 -> terminated
         assert tr.tracks == []
-        assert tr.finished[0].state is TrackState.TERMINATED
 
     def test_frozen_track_rematchable_through_last_allowed_miss(self):
         cfg = TrackerConfig(max_age=3, use_ukf=False)
@@ -231,57 +263,76 @@ class TestStep:
 
     def test_ids_strictly_increase_and_never_reused(self):
         tr = Tracker(TrackerConfig(max_age=1, use_ukf=False))
-        seen = []
+        seen, gone = set(), set()
         rng = np.random.default_rng(4)
         for f in range(20):
             dets = [det(f, 50 + 200 * k + rng.uniform(-1, 1), 50)
                     for k in range(rng.integers(0, 3))]
+            before = {t.id for t in tr.tracks}
             ids = tr.step(dets, f)
-            seen.extend(i for i in ids if i is not None)
-        all_ids = [t.id for t in tr.all_tracks()]
-        assert all_ids == sorted(set(all_ids))
-        assert set(seen) <= set(all_ids)
+            live = [t.id for t in tr.tracks]
+            assert live == sorted(set(live))
+            born = [i for i in ids if i not in before]
+            assert born == sorted(set(born))
+            assert all(i > max(seen, default=0) for i in born)
+            assert set(ids) <= set(live)
+            assert not set(ids) & gone
+            seen.update(ids)
+            gone |= before - set(live)
+        assert gone  # tracks did age out
 
 
 class TestRunSequence:
     def test_single_object_single_track(self):
         frames = [[det(f, 10 + 2.0 * f, 20, offset=(-2.0, 0))] for f in range(10)]
-        tracks = run_sequence(frames)
-        assert len(tracks) == 1
-        active = [h for h in tracks[0].history if isinstance(h[1], Detection)]
-        assert len(active) == 10
+        rows = run_sequence(frames)
+        assert rows.id.tolist() == [1] * 10
+        assert rows.frame.tolist() == list(range(10))
 
     def test_determinism(self):
         sc = build_scenario("random_walk", 3, 25, 256, 160, 5)
         dets = perturb(sc, generate(sc), NoiseParams(), 99)
         a = run_sequence(dets)
         b = run_sequence(dets)
-        assert [t.id for t in a] == [t.id for t in b]
-        for ta, tb in zip(a, b):
-            assert len(ta.history) == len(tb.history)
-            assert ta.ref_center == tb.ref_center
-            assert np.array_equal(ta.filter_mean, tb.filter_mean)
+        for name in ("frame", "id", "class_id", "center", "depth", "rings"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        ta, tb = Tracker(), Tracker()
+        for f, rows in enumerate(dets):
+            assert ta.step(rows, f) == tb.step(rows, f)
+            assert live_state(ta) == live_state(tb)
 
-    def test_filters_match_linear_kalman_replayed_on_history(self):
+    def test_filters_match_linear_kalman_replayed_on_step_ids(self):
         # default noise drops and adds detections, so tracks are born on
         # different frames, coast while frozen and some terminate
         sc = build_scenario("random_walk", 5, 80, 320, 200, 13)
         dets = perturb(sc, generate(sc), NoiseParams(), 14)
         p = UkfParams(q_accel=0.3)
-        tracks = run_sequence(dets, TrackerConfig(max_age=6, ukf=p))
-        assert any(t.state is TrackState.TERMINATED for t in tracks)
-        assert any(isinstance(e, Point2) for t in tracks for _, e in t.history)
-        for t in tracks:
-            (_, first), *rest = t.history
-            kf = LinearKalman(*first.center, p.q_accel, p.r_pos, p.p_vel0, p.p_acc0)
-            for _, entry in rest:
+        tracker = Tracker(TrackerConfig(max_age=6, ukf=p))
+        oracles: dict[int, LinearKalman] = {}
+        coasted = terminated = 0
+        for f, rows in enumerate(dets):
+            for kf in oracles.values():
                 kf.predict()
-                if isinstance(entry, Detection):
-                    kf.update(*entry.center)
-            if t.state is TrackState.TERMINATED:
-                kf.predict()  # the frame it aged out in predicted it once more
-            assert np.abs(t.filter.mean - kf.x).max() < 1e-9
-            assert np.abs(t.filter.cov - kf.P).max() < 1e-9
+            matched = set()
+            for d, tid in zip(rows, tracker.step(rows, f)):
+                if tid is None:
+                    continue
+                if tid in oracles:
+                    oracles[tid].update(*d.center)
+                else:
+                    oracles[tid] = LinearKalman(*d.center, p.q_accel, p.r_pos,
+                                                p.p_vel0, p.p_acc0)
+                matched.add(tid)
+            live = {t.id: t for t in tracker.tracks}
+            for tid in set(oracles) - set(live):
+                del oracles[tid]
+                terminated += 1
+            coasted += len(set(live) - matched)
+            assert set(oracles) == set(live)
+            for tid, kf in oracles.items():
+                assert np.abs(live[tid].filter.mean - kf.x).max() < 1e-9
+                assert np.abs(live[tid].filter.cov - kf.P).max() < 1e-9
+        assert terminated and coasted
 
     def test_boundary_exit_new_id_with_ukf(self):
         sc = build_scenario("boundary_exit_enter", 2, 36, 288, 160, 0)
@@ -291,29 +342,37 @@ class TestRunSequence:
         without = run_sequence(dets, TrackerConfig(use_ukf=False))
         # predicted out of frame -> the enterer gets a fresh id; a stale
         # frozen track at the border captures it instead
-        assert len(with_ukf) == 2
-        assert len(without) == 1
+        assert set(with_ukf.id.tolist()) == {1, 2}
+        assert set(without.id.tolist()) == {1}
 
     def test_crossing_lifecycle_invariants(self):
         sc = build_scenario("crossing", 2, 30, 288, 160, 3)
         dets = perturb(sc, generate(sc), IDENTITY_NOISE, 7)
-        tracks = run_sequence(dets)
-        for t in tracks:
-            frames_seen = [f for f, _ in t.history]
-            assert frames_seen == sorted(frames_seen)
-            assert t.state in (TrackState.ACTIVE, TrackState.FROZEN,
-                               TrackState.TERMINATED)
+        rows = run_sequence(dets)
+        assert (np.diff(rows.frame) >= 0).all()
+        for tid in set(rows.id.tolist()):
+            frames_seen = rows.frame[rows.id == tid]
+            assert (np.diff(frames_seen) > 0).all()
+        tracker = Tracker()
+        for f, frame_rows in enumerate(dets):
+            matched = set(tracker.step(frame_rows, f))
+            for t in tracker.tracks:
+                assert t.state is (TrackState.ACTIVE if t.id in matched
+                                   else TrackState.FROZEN)
+                assert (t.age == 0) == (t.id in matched)
 
-    def test_map_gap_without_live_tracks_is_skipped(self):
+    def test_map_gap_without_live_tracks_is_skipped(self, stepped):
         start = time.perf_counter()
-        tracks = run_sequence({0: [det(0, 15, 15)], 10 ** 9: [det(10 ** 9, 15, 15)]},
-                              TrackerConfig(max_age=3))
+        rows = run_sequence({0: [det(0, 15, 15)], 10 ** 9: [det(10 ** 9, 15, 15)]},
+                            TrackerConfig(max_age=3))
         assert time.perf_counter() - start < 1.0
-        assert [t.id for t in tracks] == [1, 2]
-        assert [[f for f, _ in t.history] for t in tracks] == [[0, 1, 2, 3], [10 ** 9]]
+        assert rows.id.tolist() == [1, 2]
+        assert rows.frame.tolist() == [0, 10 ** 9]
+        # frozen through frame 3, the track ages out in frame 4
+        assert [f for _, f in stepped] == [0, 1, 2, 3, 4, 10 ** 9]
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
-    def test_map_of_non_empty_frames_tracks_like_the_list(self, kind):
+    def test_map_of_non_empty_frames_tracks_like_the_list(self, kind, stepped):
         sc = build_scenario(kind, 4, 40, 320, 200, 6)
         frames = perturb(sc, generate(sc), NoiseParams(drop_prob=0.7, fp_prob=0.05), 8)
         # the last frame stays in the map, so both end on the same frame
@@ -321,11 +380,43 @@ class TestRunSequence:
         present = {f: rows for f, rows in enumerate(frames) if len(rows) or f == last}
         assert len(present) < len(frames)  # the map leaves frames out
         cfg = TrackerConfig(max_age=2)
-        a, b = run_sequence(frames, cfg), run_sequence(present, cfg)
-        for ta, tb in zip(a, b, strict=True):
-            assert (ta.id, ta.state) == (tb.id, tb.state)
-            assert [f for f, _ in ta.history] == [f for f, _ in tb.history]
-            assert np.array_equal(ta.filter_mean, tb.filter_mean)
+        a = run_sequence(frames, cfg)
+        tracker_a = stepped[-1][0]
+        b = run_sequence(present, cfg)
+        tracker_b = stepped[-1][0]
+        for name in ("frame", "id", "class_id", "center", "depth", "rings"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert tracker_a is not tracker_b
+        assert live_state(tracker_a) == live_state(tracker_b)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_rows_are_the_kept_detections_with_their_step_ids(self, kind):
+        sc = build_scenario(kind, 4, 40, 320, 200, 9)
+        frames = perturb(sc, generate(sc), NoiseParams(fp_prob=0.5), 10)
+        cfg = TrackerConfig(max_age=3, score_min=0.5)
+        want = kept_rows(frames, cfg)
+        assert 0 < len(want) < sum(map(len, frames))  # some rows fall below score_min
+        present = {f: rows for f, rows in enumerate(frames) if len(rows)}
+        for got in (run_sequence(frames, cfg), run_sequence(present, cfg)):
+            assert len(got) == len(want)
+            assert got.frame.tolist() == [w[0] for w in want]
+            assert got.id.tolist() == [w[1] for w in want]
+            assert got.class_id.tolist() == [w[2] for w in want]
+            assert got.depth.tolist() == [w[3] for w in want]
+            assert np.array_equal(got.rings, np.stack([w[4] for w in want]))
+            assert np.array_equal(got.center, got.rings.mean(axis=1))
+
+    def test_rows_of_differing_vertex_counts_rejected(self):
+        five = Polygon(np.array([[0, 0], [8, 0], [8, 8], [4, 10], [0, 8]], float))
+        frames = [[det(0, 5, 5)], [Detection(frame=1, class_id=0, score=0.9,
+                                             center=Point2(*five.vertices.mean(axis=0)),
+                                             polygon=five, depth=1.0, offset=(0, 0))]]
+        with pytest.raises(InvalidInputError, match="share a vertex count"):
+            run_sequence(frames)
+
+    def test_empty_run_is_an_empty_block(self):
+        rows = run_sequence([[], []])
+        assert len(rows) == 0 and rows.rings.ndim == 3
 
 
 class TestDetectionBlock:
@@ -365,10 +456,7 @@ class TestDetectionBlock:
             a, b = Tracker(cfg), Tracker(cfg)
             for f, (rows, dets) in enumerate(zip(blocks, lists)):
                 assert a.step(rows, f) == b.step(dets, f)
-            for ta, tb in zip(a.all_tracks(), b.all_tracks(), strict=True):
-                assert (ta.id, ta.state, ta.ref_center) == (tb.id, tb.state, tb.ref_center)
-                assert [f for f, _ in ta.history] == [f for f, _ in tb.history]
-                assert np.array_equal(ta.filter_mean, tb.filter_mean)
+                assert live_state(a) == live_state(b)
 
     def test_associate_takes_blocks(self):
         tracks = [track_at(1, 8, 9), track_at(4, 40, 40)]
@@ -381,25 +469,51 @@ class TestDetectionBlock:
 
 def test_noisy_long_sequence_keeps_lifecycle_invariants():
     # default noise (40% drops, 10% false positives) over a long random
-    # walk: ids stay unique, histories stay ordered, terminated tracks
-    # never emit again
+    # walk: ids stay unique, a track leaves the tracker exactly max_age + 1
+    # frames after its last match, and a track that left never emits again
     sc = build_scenario("random_walk", 4, 200, 320, 200, 31)
     dets = perturb(sc, generate(sc), NoiseParams(), 32)
     for use_ukf in (True, False):
-        tracks = run_sequence(dets, TrackerConfig(use_ukf=use_ukf, max_age=8))
-        ids = [t.id for t in tracks]
-        assert ids == sorted(set(ids))
-        for t in tracks:
-            frames = [f for f, _ in t.history]
-            assert frames == sorted(frames)
-            assert len(set(frames)) == len(frames)
-            if t.state is TrackState.TERMINATED:
-                misses = 0
-                for _, entry in reversed(t.history):
-                    if isinstance(entry, Detection):
-                        break
-                    misses += 1
-                assert misses == 8  # frozen history entries before the cut
+        tracker = Tracker(TrackerConfig(use_ukf=use_ukf, max_age=8))
+        last_match: dict[int, int] = {}
+        gone = set()
+        for f, rows in enumerate(dets):
+            ids = [i for i in tracker.step(rows, f) if i is not None]
+            assert len(set(ids)) == len(ids)
+            assert not set(ids) & gone
+            for tid in ids:
+                assert tid in last_match or tid > max(last_match, default=0)
+                last_match[tid] = f
+            live = {t.id for t in tracker.tracks}
+            for tid in set(last_match) - live - gone:
+                assert f - last_match[tid] == 9  # 8 frozen frames before the cut
+                gone.add(tid)
+        assert gone
+
+
+def test_tracker_memory_does_not_grow_with_the_run():
+    # one object matched every frame: what the tracker keeps after 2000
+    # frames is what it kept after 200
+    config = TrackerConfig(use_ukf=True)
+    tracker = Tracker(config)
+
+    def run(frames):
+        for f in frames:
+            x = 10.0 + 0.01 * f
+            assert tracker.step([det(f, x, 20.0, offset=(-0.01, 0.0))], f) == [1]
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(range(200))
+        gc.collect()
+        after_200 = tracemalloc.get_traced_memory()[0]
+        run(range(200, 2000))
+        gc.collect()
+        after_2000 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_2000 <= after_200 + 16 * 1024
 
 
 def test_config_validation():
